@@ -2,7 +2,7 @@
 locality-aware replay sampling."""
 
 from .envs import EnvConfig, WorldState, make_env_config, observation_dim
-from .nn import AdamState, MlpGrads, MlpParams
+from .nn import AdamState, MlpParams
 from .profiler import Phase, ProfileReport, breakdown, growth_rate, phase_scope
 from .replay import BatchArrays, ReplayBuffer, Transition
 from .trainers import (
@@ -21,7 +21,6 @@ __all__ = [
     "BatchArrays",
     "EnvConfig",
     "EpisodeStats",
-    "MlpGrads",
     "MlpParams",
     "Phase",
     "ProfileReport",

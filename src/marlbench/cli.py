@@ -6,8 +6,12 @@ Subcommands:
   compare        diff two sweep output trees (baseline vs optimized)
   report         pretty-print any artifact produced by the other commands
 
-Scalar knobs can also be forced through the environment for CI, e.g.
-MARLBENCH_EPISODES=50 overrides --episodes everywhere.
+Every int field of a training spec can also be forced through the
+environment for CI, over both the spec file and the flags:
+MARLBENCH_EPISODES, MARLBENCH_BATCH_SIZE, MARLBENCH_UPDATE_EVERY,
+MARLBENCH_BUFFER_CAPACITY, MARLBENCH_REPETITIONS, MARLBENCH_NEIGHBORS and
+MARLBENCH_SEED. bench-sampler reads MARLBENCH_BUFFER_LEN, MARLBENCH_BATCH
+and MARLBENCH_TRIALS the same way.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +95,7 @@ class ExperimentSpec:
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"spec file schema_version {version}, expected {SCHEMA_VERSION}")
-        known = {f for f in ExperimentSpec.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(ExperimentSpec)}
         if unknown:
             raise ValueError(f"spec file has unknown fields: {sorted(unknown)}")
         return ExperimentSpec(**data)
@@ -108,17 +111,6 @@ def _env_override(name: str, value, cast):
         raise ValueError(f"bad {ENV_PREFIX}{name.upper()}={raw!r}: {exc}") from exc
 
 
-def _apply_env_overrides(spec: ExperimentSpec) -> ExperimentSpec:
-    spec.episodes = _env_override("episodes", spec.episodes, int)
-    spec.batch_size = _env_override("batch_size", spec.batch_size, int)
-    spec.update_every = _env_override("update_every", spec.update_every, int)
-    spec.buffer_capacity = _env_override("buffer_capacity", spec.buffer_capacity, int)
-    spec.repetitions = _env_override("repetitions", spec.repetitions, int)
-    spec.neighbors = _env_override("neighbors", spec.neighbors, int)
-    spec.seed = _env_override("seed", spec.seed, int)
-    return spec
-
-
 def _parse_agents(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -130,49 +122,24 @@ def _parse_agents(text: str) -> list[int]:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    if args.spec:
-        spec = ExperimentSpec.from_file(args.spec)
-    else:
-        spec = ExperimentSpec()
-    if args.scenario is not None:
-        spec.scenario = args.scenario
-    if args.agents is not None:
-        spec.agents = _parse_agents(args.agents)
-    if args.algo is not None:
-        spec.algorithm = args.algo
-    if args.sampler is not None:
-        spec.sampler = args.sampler
-    if args.neighbors is not None:
-        spec.neighbors = args.neighbors
-    if args.episodes is not None:
-        spec.episodes = args.episodes
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.repetitions is not None:
-        spec.repetitions = args.repetitions
-    if args.batch_size is not None:
-        spec.batch_size = args.batch_size
-    if args.update_every is not None:
-        spec.update_every = args.update_every
-    if args.buffer_capacity is not None:
-        spec.buffer_capacity = args.buffer_capacity
-    if args.dump_trajectory:
-        spec.dump_trajectory = True
-    return _apply_env_overrides(spec)
+    """Start from the spec file or the defaults, apply each flag that was
+    given, then let MARLBENCH_<FIELD> override any int field."""
+    spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
+    for f in fields(ExperimentSpec):
+        value = getattr(args, f.name)
+        if value is not None:
+            setattr(spec, f.name, _parse_agents(value) if f.name == "agents" else value)
+        if type(f.default) is int:
+            setattr(spec, f.name, _env_override(f.name, getattr(spec, f.name), int))
+    return spec
 
 
 def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> dict:
     """Train one (agent count, seed) cell and write its artifact set."""
     env_cfg = envs.make_env_config(spec.scenario, n_agents, seed=seed)
+    shared = {f.name for f in fields(trainers.TrainerConfig)} & {f.name for f in fields(spec)}
     cfg = trainers.TrainerConfig(
-        algorithm=spec.algorithm,
-        sampler=spec.sampler,
-        neighbors=spec.neighbors,
-        episodes=spec.episodes,
-        batch_size=spec.batch_size,
-        update_every=spec.update_every,
-        buffer_capacity=spec.buffer_capacity,
-        seed=seed,
+        **{name: getattr(spec, name) for name in shared - {"seed"}}, seed=seed
     )
     cell_dir.mkdir(parents=True, exist_ok=True)
     trajectory = cell_dir / "trajectory.csv" if spec.dump_trajectory else None
@@ -226,26 +193,26 @@ def cmd_bench_sampler(args) -> int:
     batch = _env_override("batch", args.batch, int)
     trials = _env_override("trials", args.trials, int)
     n = args.neighbors
+    uniform_cfg = trainers.TrainerConfig(batch_size=batch, neighbors=n)
+    neighbor_cfg = replace(uniform_cfg, sampler=trainers.SAMPLER_NEIGHBOR)
+    for cfg in (uniform_cfg, neighbor_cfg):
+        trainers.validate_trainer_config(cfg)
     rng = np.random.default_rng(args.seed)
     logger.info("filling buffer: %d records, obs_dim=%d", length, args.obs_dim)
     buf = replay.ReplayBuffer(length, args.obs_dim, args.act_dim)
-    buf.bulk_load(
-        rng.random((length, args.obs_dim)),
-        rng.random((length, args.act_dim)),
-        rng.random(length),
-        rng.random((length, args.obs_dim)),
-        np.zeros(length),
-    )
-    k = -(-batch // (2 * n)) + trainers.ANCHOR_SLACK
+    # fill in place so the buffer is never held twice; done stays zero but
+    # is written too, so no gather reads the kernel's shared zero page
+    for arr in (buf.obs, buf.act, buf.rew, buf.next_obs):
+        rng.random(out=arr)
+    buf.done[:] = 0.0
+    buf.size = length
+    fallbacks: dict = {}  # counts windowed draws that fell back to uniform
 
     def uniform_trial():
-        idx = replay.make_index_uniform(rng, batch, length)
-        replay.gather(buf, idx)
+        replay.gather(buf, trainers.draw_batch_indices(uniform_cfg, rng, length))
 
     def neighbor_trial():
-        anchors = replay.make_index_uniform(rng, k, length)
-        idx = replay.neighbor_indices(anchors, length, n, batch)
-        replay.gather(buf, idx[:batch])
+        replay.gather(buf, trainers.draw_batch_indices(neighbor_cfg, rng, length, fallbacks))
 
     for _ in range(args.warmup):
         uniform_trial()
@@ -254,6 +221,8 @@ def cmd_bench_sampler(args) -> int:
     for _ in range(trials):
         uniform_ns.append(_time_ns(uniform_trial))
         neighbor_ns.append(_time_ns(neighbor_trial))
+    if fallbacks:
+        raise ValueError(f"{length} records are too few for windowed batches of {batch}")
     med_u = float(np.median(uniform_ns))
     med_n = float(np.median(neighbor_ns))
     result = {
@@ -476,7 +445,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--spec", help="JSON experiment spec; flags override its fields")
     p_train.add_argument("--scenario", choices=envs.SCENARIOS)
     p_train.add_argument("--agents", help="comma-separated learner counts, e.g. 3,6,12")
-    p_train.add_argument("--algo", choices=trainers.ALGORITHMS)
+    p_train.add_argument("--algo", choices=trainers.ALGORITHMS, dest="algorithm")
     p_train.add_argument("--sampler", choices=trainers.SAMPLERS)
     p_train.add_argument("--neighbors", type=int)
     p_train.add_argument("--episodes", type=int)
@@ -485,7 +454,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--batch-size", type=int, dest="batch_size")
     p_train.add_argument("--update-every", type=int, dest="update_every")
     p_train.add_argument("--buffer-capacity", type=int, dest="buffer_capacity")
-    p_train.add_argument("--dump-trajectory", action="store_true",
+    p_train.add_argument("--dump-trajectory", action="store_true", default=None,
                          help="roll one greedy episode after training to trajectory.csv")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.set_defaults(func=cmd_train)

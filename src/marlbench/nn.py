@@ -1,8 +1,9 @@
 """Dense-network kernel: two-hidden-layer MLPs with hand-rolled backprop.
 
-Everything here is pure numpy in double precision. Parameters, gradients
-and optimizer state are plain dataclasses of arrays so they can be copied,
-serialized and finite-difference-checked without framework machinery.
+Everything here is pure numpy in double precision. Parameters, their
+gradients and the Adam moments share one dataclass of arrays, so they can
+be copied, serialized and finite-difference-checked without framework
+machinery.
 """
 from __future__ import annotations
 
@@ -55,21 +56,6 @@ class MlpParams:
 
 
 @dataclass
-class MlpGrads:
-    """Parameter gradients, shape-congruent with :class:`MlpParams`."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f) for f in _FIELDS)
-
-
-@dataclass
 class ForwardCache:
     """Intermediate activations saved by the forward pass for backprop."""
 
@@ -85,8 +71,8 @@ class ForwardCache:
 class AdamState:
     """Per-network Adam accumulators. ``t`` counts completed steps."""
 
-    m: MlpGrads
-    v: MlpGrads
+    m: MlpParams
+    v: MlpParams
     t: int
     lr: float
     beta1: float = 0.9
@@ -116,8 +102,8 @@ def init_mlp_params(
     return MlpParams(w1, b1, w2, b2, w3, b3)
 
 
-def zeros_like_grads(params: MlpParams) -> MlpGrads:
-    return MlpGrads(*(np.zeros_like(a) for a in params.arrays()))
+def zeros_like_grads(params: MlpParams) -> MlpParams:
+    return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
 def param_count(params: MlpParams) -> int:
@@ -162,7 +148,7 @@ def mlp_backward(
     params: MlpParams,
     cache: ForwardCache,
     upstream: np.ndarray,
-) -> tuple[MlpGrads, np.ndarray]:
+) -> tuple[MlpParams, np.ndarray]:
     """Backpropagate an upstream gradient through the cached forward pass.
 
     Args:
@@ -192,7 +178,7 @@ def mlp_backward(
     dw1 = dz1.T @ cache.x
     db1 = dz1.sum(axis=0)
     dx = dz1 @ params.w1
-    grads = MlpGrads(dw1, db1, dw2, db2, dw3, db3)
+    grads = MlpParams(dw1, db1, dw2, db2, dw3, db3)
     return grads, (dx[0] if cache.squeeze else dx)
 
 
@@ -205,7 +191,7 @@ def init_adam(params: MlpParams, lr: float) -> AdamState:
 def adam_step(
     state: AdamState,
     params: MlpParams,
-    grads: MlpGrads,
+    grads: MlpParams,
 ) -> tuple[AdamState, MlpParams]:
     """Apply one Adam update. Pure: returns fresh state and parameters."""
     new_m, new_v, new_p = [], [], []
@@ -224,8 +210,8 @@ def adam_step(
         new_v.append(v2)
         new_p.append(p - step)
     next_state = AdamState(
-        m=MlpGrads(*new_m),
-        v=MlpGrads(*new_v),
+        m=MlpParams(*new_m),
+        v=MlpParams(*new_v),
         t=t,
         lr=state.lr,
         beta1=state.beta1,

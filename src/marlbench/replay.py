@@ -7,13 +7,9 @@ contiguous index runs, which keeps most of the gather sequential in memory.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-_SNAP_MAGIC = b"RBUF"
-_SNAP_VERSION = 1
 
 
 class InsufficientDataError(ValueError):
@@ -88,30 +84,6 @@ class ReplayBuffer:
         self.cursor = (i + 1) % self.capacity
         if self.size < self.capacity:
             self.size += 1
-
-    def bulk_load(
-        self,
-        obs: np.ndarray,
-        act: np.ndarray,
-        rew: np.ndarray,
-        next_obs: np.ndarray,
-        done: np.ndarray,
-    ) -> None:
-        """Overwrite the first k slots wholesale and set size = k."""
-        k = obs.shape[0]
-        if k > self.capacity:
-            raise ValueError(f"bulk load of {k} rows exceeds capacity {self.capacity}")
-        shapes = (obs.shape, act.shape, rew.shape, next_obs.shape, done.shape)
-        expected = ((k, self.obs_dim), (k, self.act_dim), (k,), (k, self.obs_dim), (k,))
-        if shapes != expected:
-            raise ValueError(f"bulk load shapes {shapes}, expected {expected}")
-        self.obs[:k] = obs
-        self.act[:k] = act
-        self.rew[:k] = rew
-        self.next_obs[:k] = next_obs
-        self.done[:k] = done
-        self.size = k
-        self.cursor = k % self.capacity
 
 
 def make_index_uniform(rng: np.random.Generator, k: int, length: int) -> np.ndarray:
@@ -208,17 +180,6 @@ def gather(buffer: ReplayBuffer, indices: np.ndarray) -> BatchArrays:
     )
 
 
-def neighbor_batch(
-    anchors: np.ndarray,
-    buffer: ReplayBuffer,
-    n: int,
-    b: int,
-) -> BatchArrays:
-    """Collect a neighbor-sampled batch of exactly b records."""
-    idx = neighbor_indices(anchors, buffer.size, n, b)
-    return gather(buffer, idx[:b])
-
-
 def collect_joint(buffers: list[ReplayBuffer], indices: np.ndarray) -> list[BatchArrays]:
     """Apply one index set to every agent's buffer, keeping rows time-aligned.
 
@@ -231,56 +192,3 @@ def collect_joint(buffers: list[ReplayBuffer], indices: np.ndarray) -> list[Batc
     if len(lengths) != 1:
         raise ValueError(f"buffers misaligned, lengths {sorted(lengths)}")
     return [gather(buf, indices) for buf in buffers]
-
-
-def save_snapshot(buffer: ReplayBuffer, path: str) -> None:
-    """Dump the filled region to a versioned little-endian binary file."""
-    k = buffer.size
-    header = _SNAP_MAGIC + struct.pack(
-        "<HQQQII",
-        _SNAP_VERSION,
-        buffer.capacity,
-        k,
-        buffer.cursor,
-        buffer.obs_dim,
-        buffer.act_dim,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in (buffer.obs[:k], buffer.act[:k], buffer.rew[:k],
-                    buffer.next_obs[:k], buffer.done[:k]):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_snapshot(path: str) -> ReplayBuffer:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_len = len(_SNAP_MAGIC) + struct.calcsize("<HQQQII")
-    if len(blob) < head_len or blob[: len(_SNAP_MAGIC)] != _SNAP_MAGIC:
-        raise ValueError("not a replay snapshot file")
-    version, capacity, size, cursor, obs_dim, act_dim = struct.unpack(
-        "<HQQQII", blob[len(_SNAP_MAGIC) : head_len]
-    )
-    if version != _SNAP_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    buf = ReplayBuffer(int(capacity), int(obs_dim), int(act_dim))
-    counts = [size * obs_dim, size * act_dim, size, size * obs_dim, size]
-    expected = head_len + 8 * sum(counts)
-    if len(blob) != expected:
-        raise ValueError(f"snapshot length {len(blob)}, expected {expected}")
-    offset = head_len
-    arrays = []
-    for count in counts:
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=int(count), offset=offset)
-                      .astype(np.float64))
-        offset += 8 * int(count)
-    k = int(size)
-    buf.bulk_load(
-        arrays[0].reshape(k, obs_dim),
-        arrays[1].reshape(k, act_dim),
-        arrays[2],
-        arrays[3].reshape(k, obs_dim),
-        arrays[4],
-    )
-    buf.cursor = int(cursor)
-    return buf

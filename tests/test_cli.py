@@ -81,12 +81,29 @@ def test_train_bad_agent_list_is_runtime_error(tmp_path):
     assert main(train_args(tmp_path / "y", agents="abc")) == EXIT_RUNTIME
 
 
-def test_episode_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MARLBENCH_EPISODES", "2")
+# every int field of ExperimentSpec, with a value that differs from train_args
+ENV_OVERRIDES = {"episodes": 2, "batch_size": 4, "update_every": 10, "buffer_capacity": 150,
+                 "repetitions": 2, "neighbors": 2, "seed": 5}
+
+
+@pytest.mark.parametrize("field", ENV_OVERRIDES)
+def test_episode_env_override(tmp_path, monkeypatch, field):
+    value = ENV_OVERRIDES[field]
+    # the variable beats a flag given for the same field
+    monkeypatch.setenv(f"MARLBENCH_{field.upper()}", str(value))
     out = tmp_path / "sweep"
-    assert main(train_args(out, episodes="9")) == EXIT_OK
-    lines = (out / "n2_seed0" / "stats.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 2
+    assert main(train_args(out, neighbors=3, repetitions=1)) == EXIT_OK
+    spec = json.loads((out / "spec.json").read_text())
+    assert spec[field] == value
+    seed = spec["seed"]
+    run = json.loads((out / f"n2_seed{seed}" / "run.json").read_text())
+    assert run["spec"] == spec
+    if field != "repetitions":
+        assert run["trainer_config"][field] == value
+    cells = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert cells == [f"n2_seed{seed + r}" for r in range(spec["repetitions"])]
+    lines = (out / f"n2_seed{seed}" / "stats.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + spec["episodes"]
 
 
 def test_bad_env_override_is_runtime_error(tmp_path, monkeypatch):
@@ -126,7 +143,7 @@ def test_spec_file_rejects_wrong_schema(tmp_path):
 
 def test_train_spec_file_with_flag_override(tmp_path):
     spec = ExperimentSpec(agents=[2], episodes=2, batch_size=8, update_every=20,
-                          buffer_capacity=200)
+                          buffer_capacity=200, dump_trajectory=True)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec.to_dict()))
     out = tmp_path / "sweep"
@@ -134,6 +151,10 @@ def test_train_spec_file_with_flag_override(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     lines = (out / "n2_seed0" / "stats.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 4
+    # a flag the command line leaves out keeps the spec file's value
+    written = json.loads((out / "spec.json").read_text())
+    assert written["dump_trajectory"] is True
+    assert (out / "n2_seed0" / "trajectory.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +174,15 @@ def test_bench_sampler_artifact_schema(tmp_path):
     assert data["ratio"] == pytest.approx(
         data["neighbor"]["median_ns"] / data["uniform"]["median_ns"])
     assert data["percent_reduction"] == pytest.approx(100.0 * (1.0 - data["ratio"]))
+
+
+@pytest.mark.parametrize("bad", [["--neighbors", "0"], ["--buffer-len", "3"]],
+                         ids=["zero_neighbors", "buffer_too_short_for_windows"])
+def test_bench_sampler_bad_input_is_runtime_error(tmp_path, bad):
+    argv = ["bench-sampler", "--buffer-len", "1000", "--batch", "32", "--trials", "2",
+            "--warmup", "1", "--out", str(tmp_path / "bench.json")] + bad
+    assert main(argv) == EXIT_RUNTIME
+    assert not (tmp_path / "bench.json").exists()
 
 
 # ---------------------------------------------------------------------------

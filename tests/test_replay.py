@@ -11,12 +11,9 @@ from marlbench.replay import (
     Transition,
     collect_joint,
     gather,
-    load_snapshot,
     make_index_uniform,
-    neighbor_batch,
     neighbor_indices,
     neighbor_window,
-    save_snapshot,
 )
 from oracles import windowed_indices_transcription
 
@@ -164,26 +161,26 @@ def test_window_property(d, n, data):
 
 def test_neighbor_batch_truncated_window():
     buf = tagged_buffer(100)
-    batch = neighbor_batch(np.array([50]), buf, n=3, b=4)
+    batch = gather(buf, neighbor_indices(np.array([50]), buf.size, n=3, b=4)[:4])
     assert [int(v) for v in batch.obses_t[:, 0]] == [47, 48, 49, 51]
     assert len(batch) == 4
 
 
 def test_neighbor_batch_boundary_anchor():
     buf = tagged_buffer(100)
-    batch = neighbor_batch(np.array([0]), buf, n=3, b=3)
+    batch = gather(buf, neighbor_indices(np.array([0]), buf.size, n=3, b=3)[:3])
     assert [int(v) for v in batch.obses_t[:, 0]] == [1, 2, 3]
 
 
 def test_neighbor_batch_early_break():
     buf = tagged_buffer(100)
-    batch = neighbor_batch(np.array([10, 20]), buf, n=1, b=2)
+    batch = gather(buf, neighbor_indices(np.array([10, 20]), buf.size, n=1, b=2)[:2])
     assert [int(v) for v in batch.obses_t[:, 0]] == [9, 11]
 
 
 def test_neighbor_batch_fields_stay_aligned():
     buf = tagged_buffer(60)
-    batch = neighbor_batch(np.array([30]), buf, n=2, b=4)
+    batch = gather(buf, neighbor_indices(np.array([30]), buf.size, n=2, b=4)[:4])
     tags = batch.obses_t[:, 0]
     assert np.array_equal(batch.actions[:, 0], tags)
     assert np.array_equal(batch.rewards, tags)
@@ -297,35 +294,5 @@ def test_batch_at_full_buffer_length_both_samplers():
     uni = gather(buf, make_index_uniform(np.random.default_rng(1), 32, buf.size))
     assert len(uni) == 32
     anchors = make_index_uniform(np.random.default_rng(2), 16 + 8, buf.size)
-    nb = neighbor_batch(anchors, buf, n=3, b=32)
+    nb = gather(buf, neighbor_indices(anchors, buf.size, n=3, b=32)[:32])
     assert len(nb) == 32
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def test_snapshot_round_trip(tmp_path):
-    buf = tagged_buffer(7, capacity=10)
-    path = str(tmp_path / "buf.bin")
-    save_snapshot(buf, path)
-    loaded = load_snapshot(path)
-    assert loaded.capacity == 10
-    assert loaded.size == 7
-    assert loaded.cursor == buf.cursor
-    assert np.array_equal(loaded.obs[:7], buf.obs[:7])
-    assert np.array_equal(loaded.act[:7], buf.act[:7])
-    assert np.array_equal(loaded.rew[:7], buf.rew[:7])
-    assert np.array_equal(loaded.next_obs[:7], buf.next_obs[:7])
-    assert np.array_equal(loaded.done[:7], buf.done[:7])
-
-
-def test_snapshot_rejects_corrupt_header(tmp_path):
-    buf = tagged_buffer(3)
-    path = str(tmp_path / "buf.bin")
-    save_snapshot(buf, path)
-    blob = bytearray(open(path, "rb").read())
-    blob[0] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
-    with pytest.raises(ValueError):
-        load_snapshot(path)
