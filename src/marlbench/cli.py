@@ -98,7 +98,19 @@ class ExperimentSpec:
         unknown = set(data) - {f.name for f in fields(ExperimentSpec)}
         if unknown:
             raise ValueError(f"spec file has unknown fields: {sorted(unknown)}")
+        for f in fields(ExperimentSpec):
+            if f.name in data and not _has_spec_type(data[f.name], f.type):
+                raise ValueError(
+                    f"spec file field {f.name!r} must be {f.type}, got {data[f.name]!r}"
+                )
         return ExperimentSpec(**data)
+
+
+def _has_spec_type(value, annotation: str) -> bool:
+    # exact types: bool is an int subclass, and JSON true is no episode count
+    if annotation == "list[int]":
+        return type(value) is list and all(type(v) is int for v in value)
+    return type(value) is {"str": str, "int": int, "bool": bool}[annotation]
 
 
 def _env_override(name: str, value, cast):
@@ -192,6 +204,8 @@ def cmd_bench_sampler(args) -> int:
     length = _env_override("buffer_len", args.buffer_len, int)
     batch = _env_override("batch", args.batch, int)
     trials = _env_override("trials", args.trials, int)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = args.neighbors
     uniform_cfg = trainers.TrainerConfig(batch_size=batch, neighbors=n)
     neighbor_cfg = replace(uniform_cfg, sampler=trainers.SAMPLER_NEIGHBOR)

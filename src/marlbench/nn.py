@@ -3,7 +3,10 @@
 Everything here is pure numpy in double precision. Parameters, their
 gradients and the Adam moments share one dataclass of arrays, so they can
 be copied, serialized and finite-difference-checked without framework
-machinery.
+machinery. The backward pass forms only what its caller reads: the
+parameter gradients, the input gradient, or a column slice of it, so a
+policy step that needs one agent's action slot of a wide critic input
+skips the rest.
 """
 from __future__ import annotations
 
@@ -148,7 +151,10 @@ def mlp_backward(
     params: MlpParams,
     cache: ForwardCache,
     upstream: np.ndarray,
-) -> tuple[MlpParams, np.ndarray]:
+    *,
+    param_grads: bool = True,
+    input_cols: slice | None = slice(None),
+) -> tuple[MlpParams | None, np.ndarray | None]:
     """Backpropagate an upstream gradient through the cached forward pass.
 
     Args:
@@ -157,29 +163,40 @@ def mlp_backward(
         upstream: gradient of the scalar objective with respect to the
             network output; shape (out,) or (batch, out) matching the
             forward input.
+        param_grads: form the parameter gradients; when False, None
+            stands in their place.
+        input_cols: columns of the input gradient to form; None skips the
+            input gradient and returns None in its place.
 
     Returns:
         Tuple of (parameter gradients summed over the batch, gradient with
-        respect to the input, same shape as the forward input).
+        respect to the input columns ``input_cols``, shaped like the
+        forward input with only those columns kept).
     """
     g, _ = _as_batch(upstream, params.out_dim, "upstream")
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError(
             f"upstream batch {g.shape[0]} does not match cached batch {cache.x.shape[0]}"
         )
-    dw3 = g.T @ cache.a2
-    db3 = g.sum(axis=0)
     da2 = g @ params.w3
     dz2 = da2 * (cache.z2 > 0.0)
-    dw2 = dz2.T @ cache.a1
-    db2 = dz2.sum(axis=0)
     da1 = dz2 @ params.w2
     dz1 = da1 * (cache.z1 > 0.0)
-    dw1 = dz1.T @ cache.x
-    db1 = dz1.sum(axis=0)
-    dx = dz1 @ params.w1
-    grads = MlpParams(dw1, db1, dw2, db2, dw3, db3)
-    return grads, (dx[0] if cache.squeeze else dx)
+    grads = dx = None
+    if param_grads:
+        grads = MlpParams(
+            dz1.T @ cache.x, dz1.sum(axis=0),
+            dz2.T @ cache.a1, dz2.sum(axis=0),
+            g.T @ cache.a2, g.sum(axis=0),
+        )
+    if input_cols is not None:
+        # with OpenBLAS at batch > 1, this transposed form gives a column
+        # subset the same bits as those columns of the full product, so
+        # seeded runs do not move; dz1 @ w1[:, cols] differs in the last bits
+        dx = (params.w1[:, input_cols].T @ dz1.T).T
+        if cache.squeeze:
+            dx = dx[0]
+    return grads, dx
 
 
 def init_adam(params: MlpParams, lr: float) -> AdamState:

@@ -263,7 +263,7 @@ def critic_loss_and_grads(
     b = diff.shape[0]
     loss = float(np.mean(diff * diff))
     upstream = (2.0 / b) * diff[:, None]
-    grads, _ = mlp_backward(critic, cache, upstream)
+    grads, _ = mlp_backward(critic, cache, upstream, input_cols=None)
     return loss, grads
 
 
@@ -313,10 +313,10 @@ def actor_loss_and_grads(
         q, cache_c = mlp_forward(ag.critic, x)
         loss = float(-np.mean(q[:, 0]))
         upstream_c = np.full((b, 1), -1.0 / b)
-        _, dx = mlp_backward(ag.critic, cache_c, upstream_c)
-        da = dx[:, _action_slot(agents, agent_i)]
+        _, da = mlp_backward(ag.critic, cache_c, upstream_c, param_grads=False,
+                             input_cols=_action_slot(agents, agent_i))
         dout = da * (1.0 - a_i * a_i)
-        grads, _ = mlp_backward(ag.actor, cache_a, dout)
+        grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
         return loss, grads
 
     mean, s_raw = out[:, :a_dim], out[:, a_dim:]
@@ -342,15 +342,15 @@ def actor_loss_and_grads(
     loss = float(np.mean(alpha * logp - q[:, 0]))
 
     upstream_c = np.full((b, 1), -1.0 / b)
-    _, dx = mlp_backward(ag.critic, cache_c, upstream_c)
-    da_q = dx[:, _action_slot(agents, agent_i)]
+    _, da_q = mlp_backward(ag.critic, cache_c, upstream_c, param_grads=False,
+                           input_cols=_action_slot(agents, agent_i))
     da_logp = (alpha / b) * 2.0 * a_i / (one_m_a2 + TANH_EPS)
     da = da_q + da_logp
     du = da * one_m_a2
     dmean = du
     ds = (du * (u - mean) - alpha / b) * gate
     dout = np.concatenate([dmean, ds], axis=1)
-    grads, _ = mlp_backward(ag.actor, cache_a, dout)
+    grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
     return loss, grads
 
 

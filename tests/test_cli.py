@@ -141,6 +141,27 @@ def test_spec_file_rejects_wrong_schema(tmp_path):
         ExperimentSpec.from_file(str(path))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("episodes", "5"),
+    ("seed", True),
+    ("agents", [3, "6"]),
+    ("agents", 3),
+    ("dump_trajectory", 1),
+    ("sampler", None),
+], ids=["str_episodes", "bool_seed", "str_in_agents", "int_agents", "int_dump_trajectory",
+        "null_sampler"])
+def test_train_spec_file_wrong_type_is_runtime_error(tmp_path, caplog, name, value):
+    data = ExperimentSpec(agents=[2], episodes=2, batch_size=8, update_every=20,
+                          buffer_capacity=200).to_dict()
+    data[name] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    out = tmp_path / "sweep"
+    assert main(["train", "--spec", str(spec_path), "--out", str(out)]) == EXIT_RUNTIME
+    assert f"field {name!r}" in caplog.text
+    assert not out.exists()
+
+
 def test_train_spec_file_with_flag_override(tmp_path):
     spec = ExperimentSpec(agents=[2], episodes=2, batch_size=8, update_every=20,
                           buffer_capacity=200, dump_trajectory=True)
@@ -176,8 +197,9 @@ def test_bench_sampler_artifact_schema(tmp_path):
     assert data["percent_reduction"] == pytest.approx(100.0 * (1.0 - data["ratio"]))
 
 
-@pytest.mark.parametrize("bad", [["--neighbors", "0"], ["--buffer-len", "3"]],
-                         ids=["zero_neighbors", "buffer_too_short_for_windows"])
+@pytest.mark.parametrize(
+    "bad", [["--neighbors", "0"], ["--buffer-len", "3"], ["--trials", "0"]],
+    ids=["zero_neighbors", "buffer_too_short_for_windows", "zero_trials"])
 def test_bench_sampler_bad_input_is_runtime_error(tmp_path, bad):
     argv = ["bench-sampler", "--buffer-len", "1000", "--batch", "32", "--trials", "2",
             "--warmup", "1", "--out", str(tmp_path / "bench.json")] + bad

@@ -173,6 +173,21 @@ def test_backward_matches_finite_differences_dim4():
         xm[k] -= eps
         fd_x[k] = (loss_at(p, xp, upstream) - loss_at(p, xm, upstream)) / (2 * eps)
     assert_grad_close(dx, fd_x)
+    assert_partial_backward_agrees(p, cache, upstream, grads, dx, slice(2, 4))
+
+
+def assert_partial_backward_agrees(p, cache, upstream, grads, dx, cols):
+    # parameter gradients alone: the same bits as the full call's
+    only_grads, no_dx = mlp_backward(p, cache, upstream, input_cols=None)
+    assert no_dx is None
+    for f in PARAM_FIELDS:
+        assert np.array_equal(getattr(only_grads, f), getattr(grads, f))
+    # a column slice of the input gradient alone
+    no_grads, dx_cols = mlp_backward(p, cache, upstream, param_grads=False, input_cols=cols)
+    assert no_grads is None
+    assert dx_cols.shape == dx[..., cols].shape
+    np.testing.assert_allclose(dx_cols, dx[..., cols], rtol=1e-12, atol=0.0)
+    assert mlp_backward(p, cache, upstream, param_grads=False, input_cols=None) == (None, None)
 
 
 def loss_at(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> float:
@@ -218,6 +233,7 @@ def test_backward_batch_sums_per_row_grads():
     up = rng.normal(size=(4, 2))
     _, cache = mlp_forward(p, xb)
     grads, dx = mlp_backward(p, cache, up)
+    assert_partial_backward_agrees(p, cache, up, grads, dx, slice(1, 3))
     acc = {f: np.zeros_like(getattr(p, f)) for f in PARAM_FIELDS}
     for r in range(4):
         _, c1 = mlp_forward(p, xb[r])
@@ -227,6 +243,12 @@ def test_backward_batch_sums_per_row_grads():
         assert np.allclose(dx[r], dx1, rtol=1e-12, atol=1e-14)
     for f in PARAM_FIELDS:
         assert np.allclose(getattr(grads, f), acc[f], rtol=1e-12, atol=1e-14)
+    # a 12-agent critic's shape (batch 1024, input 624) and one action slot
+    pc = init_mlp_params(624, 1, rng, hidden=64)
+    _, cache = mlp_forward(pc, rng.normal(size=(1024, 624)))
+    up = np.full((1024, 1), -1.0 / 1024)
+    grads, dx = mlp_backward(pc, cache, up)
+    assert_partial_backward_agrees(pc, cache, up, grads, dx, slice(600, 602))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from marlbench import envs
 from marlbench.nn import (
+    ForwardCache,
     MlpParams,
     init_adam,
     init_mlp_params,
@@ -460,6 +461,32 @@ def test_update_ordering_critic_actor_then_targets(monkeypatch):
         ("critic", 1), ("actor", 1),
         ("soft", None), ("soft", None), ("soft", None), ("soft", None),
     ]
+
+
+@pytest.mark.parametrize("algorithm", ["maddpg", "masac"])
+def test_update_routes_backward_through_module_name(monkeypatch, algorithm):
+    # span tracing wraps trainers.mlp_backward by name and reads the
+    # network and its forward cache from the first two positional arguments
+    import marlbench.trainers as tr
+
+    cfg = tiny_cfg(algorithm=algorithm, batch_size=8)
+    agents = make_tiny_agents(2, 3, 2, cfg)
+    fill_buffers(agents, 16)
+    calls = []
+    real = tr.mlp_backward
+    monkeypatch.setattr(tr, "mlp_backward",
+                        lambda *args, **kw: (calls.append(args), real(*args, **kw))[1])
+
+    assert update_all_trainers(agents, cfg, ProfileReport(meta={}),
+                               np.random.default_rng(0)) is not None
+    # per agent: Q-loss through the critic, then P-loss through the critic
+    # and the actor
+    critic_in = 2 * (3 + 2)
+    assert [args[0].in_dim for args in calls] == [critic_in, critic_in, 3] * 2
+    for args in calls:
+        assert isinstance(args[0], MlpParams)
+        assert isinstance(args[1], ForwardCache)
+        assert args[1].x.shape == (cfg.batch_size, args[0].in_dim)
 
 
 def test_update_advances_adam_counters_together():
