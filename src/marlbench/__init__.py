@@ -3,7 +3,7 @@ locality-aware replay sampling."""
 
 from .envs import EnvConfig, WorldState, make_env_config, observation_dim
 from .nn import AdamState, MlpParams
-from .profiler import Phase, ProfileReport, breakdown, growth_rate, phase_scope
+from .profiler import Phase, ProfileReport, breakdown, phase_scope
 from .replay import BatchArrays, ReplayBuffer, Transition
 from .trainers import (
     AgentBundle,
@@ -29,7 +29,6 @@ __all__ = [
     "Transition",
     "WorldState",
     "breakdown",
-    "growth_rate",
     "make_env_config",
     "observation_dim",
     "phase_scope",

@@ -92,6 +92,8 @@ class ExperimentSpec:
     @staticmethod
     def from_file(path: str) -> "ExperimentSpec":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"spec file must hold a JSON object, got {type(data).__name__}")
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"spec file schema_version {version}, expected {SCHEMA_VERSION}")
@@ -128,14 +130,13 @@ def _parse_agents(text: str) -> list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"bad agent list {text!r}, expected e.g. 3,6,12")
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"agent counts must be positive, got {text!r}")
     return values
 
 
 def _spec_from_args(args) -> ExperimentSpec:
     """Start from the spec file or the defaults, apply each flag that was
-    given, then let MARLBENCH_<FIELD> override any int field."""
+    given, then let MARLBENCH_<FIELD> override any int field; check that
+    the result names at least one cell."""
     spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
     for f in fields(ExperimentSpec):
         value = getattr(args, f.name)
@@ -143,6 +144,10 @@ def _spec_from_args(args) -> ExperimentSpec:
             setattr(spec, f.name, _parse_agents(value) if f.name == "agents" else value)
         if type(f.default) is int:
             setattr(spec, f.name, _env_override(f.name, getattr(spec, f.name), int))
+    if not spec.agents or any(n < 1 for n in spec.agents):
+        raise ValueError(f"spec field 'agents' must list positive counts, got {spec.agents}")
+    if spec.repetitions < 1:
+        raise ValueError(f"spec field 'repetitions' must be >= 1, got {spec.repetitions}")
     return spec
 
 
@@ -422,8 +427,12 @@ def cmd_report(args) -> int:
         if len(rows) > cap + 1:
             print(f"... {len(rows) - 1 - cap} more rows")
         return EXIT_OK
-    data = json.loads(path.read_text())
+    text = path.read_text()
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
     if "phases" in data:
+        data = report_from_json(text)
         total = data["total_ns"]
         print(f"total {total / 1e9:.3f}s   meta {data.get('meta', {})}")
         rows = [["phase", "parent", "ms", "count", "% of parent"]]

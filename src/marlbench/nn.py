@@ -2,15 +2,15 @@
 
 Everything here is pure numpy in double precision. Parameters, their
 gradients and the Adam moments share one dataclass of arrays, so they can
-be copied, serialized and finite-difference-checked without framework
-machinery. The backward pass forms only what its caller reads: the
+be copied and finite-difference-checked without framework machinery, and
+saved as plain named arrays (``trainers.save_checkpoint`` writes one
+``.npz``). The backward pass forms only what its caller reads: the
 parameter gradients, the input gradient, or a column slice of it, so a
 policy step that needs one agent's action slot of a wide critic input
 skips the rest.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +23,6 @@ LOG_STD_MAX = 2.0
 TANH_EPS = 1e-6
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-_BLOB_MAGIC = b"MLPB"
-_BLOB_VERSION = 1
 
 
 @dataclass
@@ -288,45 +285,3 @@ def squashed_gaussian_sample(
     correction = np.log(1.0 - action * action + TANH_EPS)
     log_prob = np.sum(gauss - correction, axis=-1)
     return action, log_prob
-
-
-def params_to_bytes(params: MlpParams) -> bytes:
-    """Serialize to a little-endian blob: magic, version, dims, then raw float64 data."""
-    header = _BLOB_MAGIC + struct.pack(
-        "<HIII", _BLOB_VERSION, params.in_dim, params.hidden_dim, params.out_dim
-    )
-    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays())
-    return header + body
-
-
-def params_from_bytes(blob: bytes) -> MlpParams:
-    """Decode a blob produced by ``params_to_bytes``, validating header and length."""
-    head_len = len(_BLOB_MAGIC) + struct.calcsize("<HIII")
-    if len(blob) < head_len:
-        raise ValueError(f"blob too short: {len(blob)} bytes")
-    if blob[: len(_BLOB_MAGIC)] != _BLOB_MAGIC:
-        raise ValueError("bad magic in parameter blob")
-    version, in_dim, hidden, out_dim = struct.unpack(
-        "<HIII", blob[len(_BLOB_MAGIC) : head_len]
-    )
-    if version != _BLOB_VERSION:
-        raise ValueError(f"unsupported blob version {version}")
-    shapes = [
-        (hidden, in_dim),
-        (hidden,),
-        (hidden, hidden),
-        (hidden,),
-        (out_dim, hidden),
-        (out_dim,),
-    ]
-    expected = head_len + 8 * sum(int(np.prod(s)) for s in shapes)
-    if len(blob) != expected:
-        raise ValueError(f"blob length {len(blob)} does not match header, expected {expected}")
-    offset = head_len
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += 8 * count
-    return MlpParams(*arrays)

@@ -1,21 +1,19 @@
 """Hierarchical phase profiler for training loops.
 
-Phases form a fixed two-level tree. Scopes are context managers built
-around a monotonic clock; the guard objects are cached per phase so the
-open/close hot path stays well under a microsecond.
+Phases form a fixed tree, declared once as a parent table; percent-of-parent
+figures and breakdown rows come from one walk over it. Scopes are context
+managers built around a monotonic clock; the guard objects are cached per
+phase so the open/close hot path stays well under a microsecond. Every
+report raises ``ProfilerError`` on an illegal nesting, so a finished report
+never holds one.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
 from time import perf_counter_ns
 from typing import ContextManager
-
-logger = logging.getLogger(__name__)
 
 
 class Phase(IntEnum):
@@ -46,19 +44,16 @@ _LABELS = {
     Phase.OTHER: "Other",
 }
 
-# parent phase index, or None for top-level phases
+# the phase tree: each phase's parent, or None for a top-level phase
 _PARENT: list[Phase | None] = [None] * len(Phase)
 for _child in (Phase.MINI_BATCH_SAMPLING, Phase.TARGET_Q_CALC, Phase.Q_LOSS, Phase.P_LOSS):
     _PARENT[_child] = Phase.UPDATE_ALL_TRAINERS
-
-_TOP_LEVEL = tuple(p for p in Phase if _PARENT[p] is None)
-_CHILDREN = tuple(p for p in Phase if _PARENT[p] is not None)
 
 UNATTRIBUTED = "unattributed"
 
 
 class ProfilerError(RuntimeError):
-    """Raised on illegal scope nesting when the report is strict."""
+    """Raised on illegal scope nesting."""
 
 
 class EmptyReportError(ValueError):
@@ -73,11 +68,10 @@ def _nesting_message(phase: Phase, top: Phase | None) -> str:
 def _make_guard(report: "ProfileReport", phase: Phase) -> ContextManager[None]:
     """Build the reusable timing guard for one phase of one report.
 
-    A strict report never holds an illegal nesting, so it tracks only its
+    A report never holds an illegal nesting, so it tracks only its
     innermost open phase (``_top``): a legal open finds its parent phase on
     top and its close puts that parent back, which makes the check one
-    identity test. A non-strict report keeps the stack of open phases, and
-    logs and counts each illegal open before timing it anyway.
+    identity test.
 
     The guard keeps its state in a closure, and its ``__enter__`` and
     ``__exit__`` are static methods of a class made for it alone, so a
@@ -90,37 +84,19 @@ def _make_guard(report: "ProfileReport", phase: Phase) -> ContextManager[None]:
     parent = _PARENT[phase]
     t0 = 0
 
-    if report._strict_guards:
-        def enter() -> None:
-            nonlocal t0
-            if report._top is not parent:
-                raise ProfilerError(_nesting_message(phase, report._top))
-            report._top = phase
-            t0 = perf_counter_ns()
+    def enter() -> None:
+        nonlocal t0
+        if report._top is not parent:
+            raise ProfilerError(_nesting_message(phase, report._top))
+        report._top = phase
+        t0 = perf_counter_ns()
 
-        def leave(exc_type, exc, tb) -> bool:
-            dt = perf_counter_ns() - t0
-            report.ns[i] += dt
-            report.counts[i] += 1
-            report._top = parent
-            return False
-    else:
-        def enter() -> None:
-            nonlocal t0
-            stack = report._stack
-            top = stack[-1] if stack else None
-            if top is not parent or phase in stack:
-                report.violations += 1
-                logger.warning(_nesting_message(phase, top))
-            stack.append(phase)
-            t0 = perf_counter_ns()
-
-        def leave(exc_type, exc, tb) -> bool:
-            dt = perf_counter_ns() - t0
-            report.ns[i] += dt
-            report.counts[i] += 1
-            report._stack.pop()
-            return False
+    def leave(exc_type, exc, tb) -> bool:
+        dt = perf_counter_ns() - t0
+        report.ns[i] += dt
+        report.counts[i] += 1
+        report._top = parent
+        return False
 
     class Guard:
         __slots__ = ()
@@ -132,26 +108,16 @@ def _make_guard(report: "ProfileReport", phase: Phase) -> ContextManager[None]:
 
 @dataclass
 class ProfileReport:
-    """Accumulated per-phase nanoseconds and scope counts for one run.
-
-    ``strict`` controls nesting validation: violations raise when True and
-    are logged and counted when False. It is read once, when the report is
-    made, and picks the kind of timing guard the report hands out.
-    """
+    """Accumulated per-phase nanoseconds and scope counts for one run."""
 
     meta: dict = field(default_factory=dict)
-    strict: bool = True
 
     def __post_init__(self):
         n = len(Phase)
         self.ns: list[int] = [0] * n
         self.counts: list[int] = [0] * n
-        self.violations: int = 0
-        # innermost open phase of a strict report
+        # innermost open phase
         self._top: Phase | None = None
-        # every open phase of a non-strict report, innermost last
-        self._stack: list[Phase] = []
-        self._strict_guards = self.strict
         self._scopes: dict[int, ContextManager[None]] = {}
         self._t_start: int | None = None
         self._total_ns: int | None = None
@@ -169,13 +135,27 @@ class ProfileReport:
         """Wall time between start() and stop(), or the top-level sum if never framed."""
         if self._total_ns is not None:
             return self._total_ns
-        return sum(self.ns[p] for p in _TOP_LEVEL)
+        return sum(self.ns[p] for p in _children(None))
 
     def phase_ns(self, phase: Phase) -> int:
         return self.ns[int(phase)]
 
     def phase_count(self, phase: Phase) -> int:
         return self.counts[int(phase)]
+
+
+def _children(parent: Phase | None) -> list[Phase]:
+    return [p for p in Phase if _PARENT[p] is parent]
+
+
+def _parent_ns(report: ProfileReport, parent: Phase | None) -> int:
+    """The time a phase's percent is taken of: its parent's, or the wall
+    time for a top-level phase."""
+    return report.total_ns if parent is None else report.ns[parent]
+
+
+def _percent(ns: int, parent_ns: int) -> float:
+    return 100.0 * ns / parent_ns if parent_ns > 0 else 0.0
 
 
 def phase_scope(report: ProfileReport, phase: Phase) -> ContextManager[None]:
@@ -200,77 +180,46 @@ class BreakdownRow:
 def breakdown(report: ProfileReport) -> list[BreakdownRow]:
     """Percent-of-parent rows, one per phase plus residual rows per level.
 
-    Top-level phases are measured against total wall time, children of
-    UpdateAllTrainers against their parent. Each level carries an
-    ``unattributed`` residual row so the percentages sum to 100.
+    Each level of the tree is measured against its parent phase, the top
+    level against total wall time. Each level carries an ``unattributed``
+    residual row so its percentages sum to 100.
     """
     total = report.total_ns
     if total <= 0:
         raise EmptyReportError("profile report holds no recorded time")
     rows: list[BreakdownRow] = []
-    top_sum = 0
-    for p in _TOP_LEVEL:
-        ns = report.ns[p]
-        top_sum += ns
-        rows.append(BreakdownRow(p.label, None, ns, report.counts[p], 100.0 * ns / total))
-    rows.append(
-        BreakdownRow(UNATTRIBUTED, None, max(total - top_sum, 0), 0,
-                     100.0 * max(total - top_sum, 0) / total)
-    )
-    parent_ns = report.ns[Phase.UPDATE_ALL_TRAINERS]
-    parent_label = Phase.UPDATE_ALL_TRAINERS.label
-    child_sum = 0
-    for p in _CHILDREN:
-        ns = report.ns[p]
-        child_sum += ns
-        pct = 100.0 * ns / parent_ns if parent_ns > 0 else 0.0
-        rows.append(BreakdownRow(p.label, parent_label, ns, report.counts[p], pct))
-    resid = max(parent_ns - child_sum, 0)
-    rows.append(
-        BreakdownRow(UNATTRIBUTED, parent_label, resid, 0,
-                     100.0 * resid / parent_ns if parent_ns > 0 else 0.0)
-    )
+    # every parent in tree order, the top level (None) first
+    for parent in dict.fromkeys(_PARENT):
+        label = parent.label if parent is not None else None
+        parent_ns = _parent_ns(report, parent)
+        level = _children(parent)
+        for p in level:
+            rows.append(BreakdownRow(p.label, label, report.ns[p], report.counts[p],
+                                     _percent(report.ns[p], parent_ns)))
+        resid = max(parent_ns - sum(report.ns[p] for p in level), 0)
+        rows.append(BreakdownRow(UNATTRIBUTED, label, resid, 0, _percent(resid, parent_ns)))
     return rows
 
 
-def growth_rate(base: ProfileReport, other: ProfileReport) -> dict[str, float | None]:
-    """Per-phase time ratios other/base, plus a "total" entry.
-
-    A phase with zero time in the base report maps to None rather than a
-    division error.
-    """
-    out: dict[str, float | None] = {}
-    for p in Phase:
-        a, b = base.ns[p], other.ns[p]
-        out[p.label] = (b / a) if a > 0 else None
-    ta, tb = base.total_ns, other.total_ns
-    out["total"] = (tb / ta) if ta > 0 else None
-    return out
-
-
 def report_to_dict(report: ProfileReport) -> dict:
-    total = report.total_ns
     phases = []
     for p in Phase:
         parent = _PARENT[p]
-        if parent is None:
-            denom = total
-        else:
-            denom = report.ns[parent]
-        pct = 100.0 * report.ns[p] / denom if denom > 0 else 0.0
         phases.append(
             {
                 "name": p.label,
                 "parent": parent.label if parent is not None else None,
                 "ns": report.ns[p],
                 "count": report.counts[p],
-                "pct_of_parent": pct,
+                "pct_of_parent": _percent(report.ns[p], _parent_ns(report, parent)),
             }
         )
     return {
         "meta": dict(report.meta),
-        "total_ns": total,
-        "violations": report.violations,
+        "total_ns": report.total_ns,
+        # always 0, since an illegal nesting raises; the key stays because
+        # the benchmark's cell check (perfbench/cell.py) asserts it is 0
+        "violations": 0,
         "phases": phases,
     }
 
@@ -282,17 +231,9 @@ def report_to_json(report: ProfileReport) -> str:
 def report_from_json(text: str) -> dict:
     """Parse a serialized report back to its dict form, checking the schema."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"profile json must be an object, got {type(data).__name__}")
     for key in ("meta", "total_ns", "phases"):
         if key not in data:
             raise ValueError(f"profile json missing key {key!r}")
     return data
-
-
-def report_to_csv(report: ProfileReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "parent", "ns", "count", "pct_of_parent"])
-    for row in report_to_dict(report)["phases"]:
-        writer.writerow([row["name"], row["parent"] or "", row["ns"], row["count"],
-                         repr(row["pct_of_parent"])])
-    return buf.getvalue()

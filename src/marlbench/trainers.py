@@ -9,7 +9,6 @@ and an entropy-regularized variant with a squashed Gaussian actor.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from .nn import (
     init_mlp_params,
     mlp_backward,
     mlp_forward,
-    params_from_bytes,
-    params_to_bytes,
     soft_update,
     squashed_gaussian_sample,
 )
@@ -78,7 +75,6 @@ class TrainerConfig:
     hidden: int = 64
     exploration_sigma: float = 0.1
     entropy_alpha: float = 0.05
-    bootstrap_on_time_limit: bool = False
     seed: int = 0
 
 
@@ -488,11 +484,9 @@ def run_training(
             with scope_env:
                 state, next_obs, rewards, done = envs.step(state, actions, env_cfg)
             with scope_exp:
-                stored_done = done and not cfg.bootstrap_on_time_limit
                 for i in range(n):
                     agents[i].buffer.add(
-                        Transition(obs[i], actions[i], float(rewards[i]),
-                                   next_obs[i], stored_done)
+                        Transition(obs[i], actions[i], float(rewards[i]), next_obs[i], done)
                     )
             inserts += 1
             ep_rewards += rewards
@@ -543,14 +537,6 @@ def _dump_greedy_trajectory(
         writer.writerows(rows)
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    """Sum of gamma**t * reward_t over one episode's reward sequence."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim != 1:
-        raise ValueError(f"rewards must be 1-D, got shape {rewards.shape}")
-    return float(np.sum(rewards * gamma ** np.arange(rewards.shape[0])))
-
-
 def final_window_mean(stats: list[EpisodeStats], fraction: float = 0.1) -> float:
     """Mean episode reward over the trailing fraction of episodes."""
     if not stats:
@@ -583,38 +569,17 @@ _ROLES = ("actor", "critic", "target_actor", "target_critic")
 
 
 def save_checkpoint(agents: list[AgentBundle], out_dir: str | Path) -> Path:
-    """Write every network as a binary blob plus a manifest describing them."""
+    """Write every network into one uncompressed ``networks.npz`` under
+    ``out_dir``, one array per ``agent<i>.<role>.<field>`` key (field is
+    w1, b1, w2, b2, w3 or b3). ``np.load`` reads it back."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, ag in enumerate(agents):
-        for role in _ROLES:
-            params: MlpParams = getattr(ag, role)
-            fname = f"agent{i}_{role}.bin"
-            (out / fname).write_bytes(params_to_bytes(params))
-            entries.append(
-                {
-                    "agent": i,
-                    "role": role,
-                    "file": fname,
-                    "in_dim": params.in_dim,
-                    "hidden_dim": params.hidden_dim,
-                    "out_dim": params.out_dim,
-                }
-            )
-    manifest = {"schema_version": 1, "n_agents": len(agents), "networks": entries}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return out / "manifest.json"
-
-
-def load_checkpoint(out_dir: str | Path) -> list[dict[str, MlpParams]]:
-    """Read a checkpoint directory back into per-agent role -> params maps."""
-    out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
-    if manifest.get("schema_version") != 1:
-        raise ValueError(f"unsupported checkpoint schema {manifest.get('schema_version')}")
-    loaded: list[dict[str, MlpParams]] = [{} for _ in range(manifest["n_agents"])]
-    for entry in manifest["networks"]:
-        params = params_from_bytes((out / entry["file"]).read_bytes())
-        loaded[entry["agent"]][entry["role"]] = params
-    return loaded
+    arrays = {
+        f"agent{i}.{role}.{name}": arr
+        for i, ag in enumerate(agents)
+        for role in _ROLES
+        for name, arr in vars(getattr(ag, role)).items()
+    }
+    path = out / "networks.npz"
+    np.savez(path, **arrays)
+    return path

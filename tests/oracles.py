@@ -171,13 +171,6 @@ def squashed_density_quadrature(mean: float, log_std: float,
 # Misc small references.
 # ---------------------------------------------------------------------------
 
-def naive_discounted_return(rewards, gamma: float) -> float:
-    total = 0.0
-    for t, r in enumerate(rewards):
-        total += (gamma ** t) * float(r)
-    return total
-
-
 def naive_adam_single(param: float, grad: float, lr: float, beta1: float,
                       beta2: float, eps: float, m: float, v: float, t: int):
     """One Adam step on a scalar, straight from the published update rule."""

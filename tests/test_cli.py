@@ -42,7 +42,7 @@ def test_train_writes_cell_artifacts(tmp_path):
     assert (out / "spec.json").exists()
     for name in ("stats.csv", "profile.json", "run.json"):
         assert (cell / name).exists()
-    assert (cell / "checkpoints" / "manifest.json").exists()
+    assert (cell / "checkpoints" / "networks.npz").exists()
     lines = (cell / "stats.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3  # header + one row per episode
     run = json.loads((cell / "run.json").read_text())
@@ -79,6 +79,9 @@ def test_train_dump_trajectory(tmp_path):
 def test_train_bad_agent_list_is_runtime_error(tmp_path):
     assert main(train_args(tmp_path / "x", agents="3,0")) == EXIT_RUNTIME
     assert main(train_args(tmp_path / "y", agents="abc")) == EXIT_RUNTIME
+    # zero repetitions leaves every agent count without a cell
+    assert main(train_args(tmp_path / "z", repetitions="0")) == EXIT_RUNTIME
+    assert not (tmp_path / "z").exists()
 
 
 # every int field of ExperimentSpec, with a value that differs from train_args
@@ -109,6 +112,10 @@ def test_episode_env_override(tmp_path, monkeypatch, field):
 def test_bad_env_override_is_runtime_error(tmp_path, monkeypatch):
     monkeypatch.setenv("MARLBENCH_EPISODES", "abc")
     assert main(train_args(tmp_path / "x")) == EXIT_RUNTIME
+    monkeypatch.delenv("MARLBENCH_EPISODES")
+    monkeypatch.setenv("MARLBENCH_REPETITIONS", "0")
+    assert main(train_args(tmp_path / "y")) == EXIT_RUNTIME
+    assert not (tmp_path / "y").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +146,11 @@ def test_spec_file_rejects_wrong_schema(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         ExperimentSpec.from_file(str(path))
+    # a top level that is not an object is no spec either
+    path.write_text(json.dumps([data]))
+    out = tmp_path / "sweep"
+    assert main(["train", "--spec", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,value", [
@@ -148,8 +160,10 @@ def test_spec_file_rejects_wrong_schema(tmp_path):
     ("agents", 3),
     ("dump_trajectory", 1),
     ("sampler", None),
+    ("agents", []),
+    ("repetitions", 0),
 ], ids=["str_episodes", "bool_seed", "str_in_agents", "int_agents", "int_dump_trajectory",
-        "null_sampler"])
+        "null_sampler", "empty_agents", "zero_repetitions"])
 def test_train_spec_file_wrong_type_is_runtime_error(tmp_path, caplog, name, value):
     data = ExperimentSpec(agents=[2], episodes=2, batch_size=8, update_every=20,
                           buffer_capacity=200).to_dict()
@@ -307,6 +321,17 @@ def test_report_renders_every_artifact_kind(tmp_path, capsys):
 
 def test_report_missing_path_is_runtime_error(tmp_path):
     assert main(["report", str(tmp_path / "nope.json")]) == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("content,message", [
+    ([1, 2], "must hold a JSON object, got list"),
+    ({"meta": {}, "violations": 0, "phases": []}, "missing key 'total_ns'"),
+], ids=["list_top_level", "profile_without_total_ns"])
+def test_report_malformed_artifact_is_runtime_error(tmp_path, caplog, content, message):
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(content))
+    assert main(["report", str(path)]) == EXIT_RUNTIME
+    assert message in caplog.text
 
 
 # ---------------------------------------------------------------------------

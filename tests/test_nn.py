@@ -15,8 +15,6 @@ from marlbench.nn import (
     mlp_backward,
     mlp_forward,
     param_count,
-    params_from_bytes,
-    params_to_bytes,
     soft_update,
     squashed_gaussian_sample,
     zeros_like_grads,
@@ -448,28 +446,3 @@ def test_squashed_action_range():
             rng.normal(scale=5, size=3), rng.uniform(-5, 5, size=3), rng.normal(size=3)
         )
         assert np.all(a > -1.0) and np.all(a < 1.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_params_bytes_round_trip():
-    rng = np.random.default_rng(13)
-    p = init_mlp_params(5, 3, rng, hidden=12)
-    blob = params_to_bytes(p)
-    q = params_from_bytes(blob)
-    for f in PARAM_FIELDS:
-        assert np.array_equal(getattr(p, f), getattr(q, f))
-
-
-def test_params_bytes_rejects_garbage():
-    with pytest.raises(ValueError):
-        params_from_bytes(b"not a parameter blob")
-    p = init_mlp_params(2, 1, np.random.default_rng(0), hidden=3)
-    blob = bytearray(params_to_bytes(p))
-    blob[0] ^= 0xFF
-    with pytest.raises(ValueError):
-        params_from_bytes(bytes(blob))
-    with pytest.raises(ValueError):
-        params_from_bytes(params_to_bytes(p)[:-8])
