@@ -151,13 +151,22 @@ def _spec_from_args(args) -> ExperimentSpec:
     return spec
 
 
-def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> dict:
-    """Train one (agent count, seed) cell and write its artifact set."""
+def _cell_configs(
+    spec: ExperimentSpec, n_agents: int, seed: int
+) -> tuple[envs.EnvConfig, trainers.TrainerConfig]:
+    """The checked env and trainer config of one (agent count, seed) cell."""
     env_cfg = envs.make_env_config(spec.scenario, n_agents, seed=seed)
     shared = {f.name for f in fields(trainers.TrainerConfig)} & {f.name for f in fields(spec)}
     cfg = trainers.TrainerConfig(
         **{name: getattr(spec, name) for name in shared - {"seed"}}, seed=seed
     )
+    trainers.validate_trainer_config(cfg)
+    return env_cfg, cfg
+
+
+def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> dict:
+    """Train one (agent count, seed) cell and write its artifact set."""
+    env_cfg, cfg = _cell_configs(spec, n_agents, seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
     trajectory = cell_dir / "trajectory.csv" if spec.dump_trajectory else None
     t0 = time.perf_counter()
@@ -188,14 +197,16 @@ def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> 
 
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
+    cells = [(n, spec.seed + rep) for n in spec.agents for rep in range(spec.repetitions)]
+    # a bad config fails here, before anything is written
+    for n_agents, seed in cells:
+        _cell_configs(spec, n_agents, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "spec.json").write_text(json.dumps(spec.to_dict(), indent=2))
-    for n_agents in spec.agents:
-        for rep in range(spec.repetitions):
-            seed = spec.seed + rep
-            run_cell(spec, n_agents, seed, out / f"n{n_agents}_seed{seed}")
-    print(f"wrote {len(spec.agents) * spec.repetitions} cell(s) under {out}")
+    for n_agents, seed in cells:
+        run_cell(spec, n_agents, seed, out / f"n{n_agents}_seed{seed}")
+    print(f"wrote {len(cells)} cell(s) under {out}")
     return EXIT_OK
 
 
@@ -290,6 +301,9 @@ def _scan_cells(root: Path) -> dict[tuple[int, int], Path]:
 def _load_cell(path: Path) -> dict:
     profile = report_from_json((path / "profile.json").read_text())
     phases = {p["name"]: p for p in profile["phases"]}
+    for phase in (Phase.MINI_BATCH_SAMPLING, Phase.UPDATE_ALL_TRAINERS):
+        if phase.label not in phases:
+            raise ValueError(f"{path / 'profile.json'} has no {phase.label} phase row")
     rewards = []
     with open(path / "stats.csv", newline="") as fh:
         for row in csv.DictReader(fh):

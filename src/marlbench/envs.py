@@ -7,6 +7,11 @@ policy; in predator-prey the learners' 5.0 gain against the prey's unit
 force is this package's choice, not MPE's (its predators push at 3.0 and its
 prey at 4.0). Landmarks never move. Integration is semi-implicit Euler with
 velocity damping and a hard speed cap.
+
+Observations and rewards derive from one displacement array,
+``rel[i, j] = pos[j] - pos[i]`` for learner i and entity j (learners, then
+prey, then landmarks). ``reset`` and ``step`` return the observations as one
+``(n_learners, observation_dim)`` array.
 """
 from __future__ import annotations
 
@@ -109,7 +114,7 @@ def _movable_count(cfg: EnvConfig) -> int:
     return cfg.n_learners + cfg.n_prey
 
 
-def reset(cfg: EnvConfig, rng: np.random.Generator) -> tuple[WorldState, list[np.ndarray]]:
+def reset(cfg: EnvConfig, rng: np.random.Generator) -> tuple[WorldState, np.ndarray]:
     """Place every entity uniformly in the square, at rest, and observe."""
     validate_env_config(cfg)
     n_entities = cfg.n_learners + cfg.n_prey + cfg.n_landmarks
@@ -126,21 +131,17 @@ def reset(cfg: EnvConfig, rng: np.random.Generator) -> tuple[WorldState, list[np
     return state, observations(state, cfg)
 
 
-def observations(state: WorldState, cfg: EnvConfig) -> list[np.ndarray]:
+def observations(state: WorldState, cfg: EnvConfig) -> np.ndarray:
     n = cfg.n_learners
     n_mov = _movable_count(cfg)
-    landmarks = state.pos[n_mov:]
-    obs = []
-    for i in range(n):
-        own = state.pos[i]
-        parts = [state.vel[i], own]
-        if cfg.n_landmarks:
-            parts.append((landmarks - own).ravel())
-        others = [state.pos[j] - own for j in range(n_mov) if j != i]
-        if others:
-            parts.append(np.concatenate(others))
-        obs.append(np.concatenate(parts))
-    return obs
+    rel = state.pos - state.pos[:n, None]
+    others = rel[:, :n_mov][~np.eye(n, n_mov, dtype=bool)]
+    return np.concatenate([
+        state.vel[:n],
+        state.pos[:n],
+        rel[:, n_mov:].reshape(n, 2 * cfg.n_landmarks),
+        others.reshape(n, 2 * (n_mov - 1)),
+    ], axis=1)
 
 
 def prey_policy(state: WorldState, prey_index: int) -> np.ndarray:
@@ -169,43 +170,36 @@ def prey_policy(state: WorldState, prey_index: int) -> np.ndarray:
 
 
 def compute_rewards(state: WorldState, cfg: EnvConfig) -> np.ndarray:
-    """Per-learner rewards evaluated on the post-integration state."""
+    """Per-learner rewards evaluated on the post-integration state.
+
+    Two entities overlap when their distance is strictly below their radius sum.
+    """
     n = cfg.n_learners
     n_mov = _movable_count(cfg)
-    learners = state.pos[:n]
+    rel = state.pos - state.pos[:n, None]
+    dist = np.sqrt(np.add.reduce(rel * rel, axis=2))
+    overlap = dist < state.radius[:n, None] + state.radius
     if cfg.scenario == SCENARIO_COOP_NAV:
-        landmarks = state.pos[n_mov:]
         total = 0.0
-        for lm in landmarks:
-            total -= float(np.min(np.linalg.norm(learners - lm, axis=1)))
-        overlaps = 0
-        for i in range(n):
-            for j in range(n):
-                if i != j and _overlap(state, i, j):
-                    overlaps += 1
-        total -= cfg.collision_penalty * overlaps
+        # one landmark at a time, in order, as a float sum is order-dependent
+        for d in dist[:, n_mov:].min(axis=0).tolist():
+            total -= d
+        pairs = overlap[:, :n]
+        np.fill_diagonal(pairs, False)
+        total -= cfg.collision_penalty * int(np.count_nonzero(pairs))
         return np.full(n, total)
-    rewards = np.zeros(n)
-    prey_pos = state.pos[n:n_mov]
-    if prey_pos.shape[0] == 0:
-        return rewards
-    for i in range(n):
-        tags = sum(1 for j in range(n, n_mov) if _overlap(state, i, j))
-        nearest = float(np.min(np.linalg.norm(prey_pos - learners[i], axis=1)))
-        rewards[i] = cfg.tag_reward * tags - cfg.chase_shaping * nearest
-    return rewards
-
-
-def _overlap(state: WorldState, i: int, j: int) -> bool:
-    dist = float(np.linalg.norm(state.pos[i] - state.pos[j]))
-    return dist < float(state.radius[i] + state.radius[j])
+    if cfg.n_prey == 0:
+        return np.zeros(n)
+    tags = np.count_nonzero(overlap[:, n:n_mov], axis=1)
+    nearest = dist[:, n:n_mov].min(axis=1)
+    return cfg.tag_reward * tags - cfg.chase_shaping * nearest
 
 
 def step(
     state: WorldState,
     actions: list[np.ndarray],
     cfg: EnvConfig,
-) -> tuple[WorldState, list[np.ndarray], np.ndarray, bool]:
+) -> tuple[WorldState, np.ndarray, np.ndarray, bool]:
     """Advance the world one tick under the learners' joint action.
 
     Returns the mutated state, fresh observations, per-learner rewards and
@@ -214,16 +208,20 @@ def step(
     n = cfg.n_learners
     if len(actions) != n:
         raise ValueError(f"got {len(actions)} actions for {n} learners")
+    try:
+        acts = np.asarray(actions, dtype=np.float64)
+    except ValueError:  # ragged or not numbers: the loop below raises
+        acts = None
+    if acts is None or acts.shape != (n, ACT_DIM):
+        for i, a in enumerate(actions):
+            a = np.asarray(a, dtype=np.float64)
+            if a.shape != (ACT_DIM,):
+                raise ValueError(f"action {i} has shape {a.shape}, expected ({ACT_DIM},)")
+    for i in np.flatnonzero(np.any(np.abs(acts) > 1.0, axis=1)):
+        logger.warning("action %d outside [-1, 1], clamping: %s", i, acts[i])
     n_mov = _movable_count(cfg)
     accel = np.zeros((state.n_entities, 2))
-    for i, a in enumerate(actions):
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (ACT_DIM,):
-            raise ValueError(f"action {i} has shape {a.shape}, expected ({ACT_DIM},)")
-        if np.any(np.abs(a) > 1.0):
-            logger.warning("action %d outside [-1, 1], clamping: %s", i, a)
-            a = np.clip(a, -1.0, 1.0)
-        accel[i] = _ACTION_GAIN * a
+    accel[:n] = _ACTION_GAIN * np.clip(acts, -1.0, 1.0)
     for j in range(n, n_mov):
         accel[j] = prey_policy(state, j)
 

@@ -236,4 +236,12 @@ def report_from_json(text: str) -> dict:
     for key in ("meta", "total_ns", "phases"):
         if key not in data:
             raise ValueError(f"profile json missing key {key!r}")
+    if not isinstance(data["phases"], list):
+        raise ValueError("profile json 'phases' must be a list")
+    for row in data["phases"]:
+        if not isinstance(row, dict):
+            raise ValueError(f"profile json phase row must be an object, got {row!r}")
+        missing = [k for k in ("name", "parent", "ns", "count", "pct_of_parent") if k not in row]
+        if missing:
+            raise ValueError(f"profile json phase row {row} missing keys {missing}")
     return data

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from marlbench.envs import SCENARIO_COOP_NAV
 from marlbench.nn import MlpParams
 
 
@@ -165,6 +166,61 @@ def squashed_density_quadrature(mean: float, log_std: float,
     gauss = np.exp(-0.5 * ((u - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
     dens = gauss / (1.0 - a ** 2)
     return float(np.trapezoid(dens, a))
+
+
+# ---------------------------------------------------------------------------
+# Particle-world observations and rewards, one agent and one pair at a time.
+# ---------------------------------------------------------------------------
+
+def naive_observations(state, cfg) -> list[np.ndarray]:
+    """Per learner: own velocity, own position, each landmark's displacement,
+    each other movable's displacement."""
+    n = cfg.n_learners
+    n_mov = cfg.n_learners + cfg.n_prey
+    landmarks = state.pos[n_mov:]
+    obs = []
+    for i in range(n):
+        own = state.pos[i]
+        parts = [state.vel[i], own]
+        if cfg.n_landmarks:
+            parts.append((landmarks - own).ravel())
+        others = [state.pos[j] - own for j in range(n_mov) if j != i]
+        if others:
+            parts.append(np.concatenate(others))
+        obs.append(np.concatenate(parts))
+    return obs
+
+
+def naive_overlap(state, i: int, j: int) -> bool:
+    dist = float(np.linalg.norm(state.pos[i] - state.pos[j]))
+    return dist < float(state.radius[i] + state.radius[j])
+
+
+def naive_compute_rewards(state, cfg) -> np.ndarray:
+    n = cfg.n_learners
+    n_mov = cfg.n_learners + cfg.n_prey
+    learners = state.pos[:n]
+    if cfg.scenario == SCENARIO_COOP_NAV:
+        landmarks = state.pos[n_mov:]
+        total = 0.0
+        for lm in landmarks:
+            total -= float(np.min(np.linalg.norm(learners - lm, axis=1)))
+        overlaps = 0
+        for i in range(n):
+            for j in range(n):
+                if i != j and naive_overlap(state, i, j):
+                    overlaps += 1
+        total -= cfg.collision_penalty * overlaps
+        return np.full(n, total)
+    rewards = np.zeros(n)
+    prey_pos = state.pos[n:n_mov]
+    if prey_pos.shape[0] == 0:
+        return rewards
+    for i in range(n):
+        tags = sum(1 for j in range(n, n_mov) if naive_overlap(state, i, j))
+        nearest = float(np.min(np.linalg.norm(prey_pos - learners[i], axis=1)))
+        rewards[i] = cfg.tag_reward * tags - cfg.chase_shaping * nearest
+    return rewards
 
 
 # ---------------------------------------------------------------------------

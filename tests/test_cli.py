@@ -84,6 +84,14 @@ def test_train_bad_agent_list_is_runtime_error(tmp_path):
     assert not (tmp_path / "z").exists()
 
 
+@pytest.mark.parametrize("field", ["episodes", "batch_size", "neighbors"])
+def test_train_bad_trainer_config_writes_nothing(tmp_path, caplog, field):
+    out = tmp_path / "sweep"
+    assert main(train_args(out, agents="2,3", **{field: 0})) == EXIT_RUNTIME
+    assert "must be >= 1" in caplog.text
+    assert not out.exists()
+
+
 # every int field of ExperimentSpec, with a value that differs from train_args
 ENV_OVERRIDES = {"episodes": 2, "batch_size": 4, "update_every": 10, "buffer_capacity": 150,
                  "repetitions": 2, "neighbors": 2, "seed": 5}
@@ -276,6 +284,19 @@ def test_compare_unpaired_cells_is_runtime_error(tmp_path):
     assert main(["compare", str(base), str(opt)]) == EXIT_RUNTIME
 
 
+@pytest.mark.parametrize("label", ["MiniBatchSampling", "UpdateAllTrainers"])
+def test_compare_profile_without_phase_row_is_runtime_error(tmp_path, caplog, label):
+    base = _make_tree(tmp_path, "base")
+    opt = tmp_path / "opt"
+    shutil.copytree(base, opt)
+    ppath = opt / "n2_seed0" / "profile.json"
+    profile = json.loads(ppath.read_text())
+    profile["phases"] = [p for p in profile["phases"] if p["name"] != label]
+    ppath.write_text(json.dumps(profile))
+    assert main(["compare", str(base), str(opt)]) == EXIT_RUNTIME
+    assert f"has no {label} phase row" in caplog.text
+
+
 def test_compare_empty_trees_is_runtime_error(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -326,7 +347,11 @@ def test_report_missing_path_is_runtime_error(tmp_path):
 @pytest.mark.parametrize("content,message", [
     ([1, 2], "must hold a JSON object, got list"),
     ({"meta": {}, "violations": 0, "phases": []}, "missing key 'total_ns'"),
-], ids=["list_top_level", "profile_without_total_ns"])
+    ({"meta": {}, "total_ns": 5, "phases": [{"name": "EnvStep"}]},
+     "missing keys ['parent', 'ns', 'count', 'pct_of_parent']"),
+    ({"meta": {}, "total_ns": 5, "phases": ["EnvStep"]}, "phase row must be an object"),
+], ids=["list_top_level", "profile_without_total_ns", "phase_row_missing_keys",
+        "phase_row_not_object"])
 def test_report_malformed_artifact_is_runtime_error(tmp_path, caplog, content, message):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(content))

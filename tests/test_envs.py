@@ -20,6 +20,7 @@ from marlbench.envs import (
     trajectory_rows,
     validate_env_config,
 )
+from oracles import naive_compute_rewards, naive_observations
 
 
 def fresh(scenario: str, n: int, seed: int = 0, **over):
@@ -128,6 +129,8 @@ def test_step_rejects_wrong_action_count():
         step(state, [np.zeros(2)] * 2, cfg)
     with pytest.raises(ValueError):
         step(state, [np.zeros(3)] * 3, cfg)
+    with pytest.raises(ValueError, match=r"action 1 has shape \(3,\)"):
+        step(state, [np.zeros(2), np.zeros(3), np.zeros(2)], cfg)
 
 
 def test_step_clamps_out_of_range_actions(caplog):
@@ -292,6 +295,51 @@ def test_predator_reward_shaping_only_when_apart():
     r = compute_rewards(state, cfg)
     assert r[0] == pytest.approx(10.0)
     assert r[1] == pytest.approx(-0.1 * 1.0)
+
+
+# ---------------------------------------------------------------------------
+# array form against the per-agent, per-pair loops
+# ---------------------------------------------------------------------------
+
+def _lay_out(state, layout):
+    e = np.arange(state.n_entities)
+    if layout == "coincident":
+        # every entity on top of entity 0 or entity 1
+        state.pos[:] = state.pos[e % 2]
+    elif layout == "touching":
+        # neighbours along x sit exactly one radius sum (0.1) apart; pairs
+        # are axis-aligned, so the loop's 1-D norm and the array's
+        # sum-of-squares read the same distance
+        state.pos[:] = np.stack([0.1 * (e % 2), 0.3 * (e // 2)], axis=1)
+    elif layout == "equidistant":
+        # entity 0 at the origin, the rest on rings of four around it
+        k = e[1:] - 1
+        ring = 0.5 * (1 + k // 4)
+        state.pos[0] = (0.0, 0.0)
+        state.pos[1:] = ring[:, None] * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])[k % 4]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    scenario=st.sampled_from(["coop-nav", "predator-prey"]),
+    n=st.integers(1, 12),
+    n_prey=st.sampled_from([1, 2]),
+    seed=st.integers(0, 10_000),
+    layout=st.sampled_from(["random", "coincident", "touching", "equidistant"]),
+    steps=st.integers(0, 5),
+)
+def test_observations_and_rewards_match_loop_oracle(scenario, n, n_prey, seed, layout, steps):
+    over = {"n_prey": n_prey} if scenario == "predator-prey" else {}
+    cfg, state, _ = fresh(scenario, n, seed=seed, **over)
+    _lay_out(state, layout)
+    obs, rew = observations(state, cfg), compute_rewards(state, cfg)
+    rng = np.random.default_rng(seed)
+    for k in range(steps + 1):
+        assert obs.shape == (n, observation_dim(cfg))
+        assert np.array_equal(obs, np.stack(naive_observations(state, cfg)))
+        assert np.array_equal(rew, naive_compute_rewards(state, cfg))
+        if k < steps:
+            _, obs, rew, _ = step(state, list(rng.uniform(-1.2, 1.2, (n, 2))), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,25 @@ def test_run_training_one_episode_buffer_lengths():
     assert all(len(ag.buffer) == 25 for ag in agents)
 
 
+def test_run_training_steps_env_through_module_name(monkeypatch):
+    # span tracing wraps envs.step and envs.reset by name, so the rollout
+    # must look them up on the module at call time
+    calls = {"reset": 0, "step": 0}
+    for name in calls:
+        real = getattr(envs, name)
+
+        def counted(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(envs, name, counted)
+    cfg = tiny_cfg(episodes=2)
+    env_cfg = envs.make_env_config("coop-nav", 2, seed=0)
+    stats, _ = run_training(cfg, env_cfg)
+    assert len(stats) == 2
+    assert calls == {"reset": 2, "step": 2 * 25}
+
+
 def test_run_training_two_update_rounds():
     cfg = tiny_cfg(episodes=8, batch_size=32, update_every=100,
                    buffer_capacity=1000)
