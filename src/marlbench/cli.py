@@ -5,13 +5,6 @@ Subcommands:
   bench-sampler  micro-benchmark uniform vs neighbor batch collection
   compare        diff two sweep output trees (baseline vs optimized)
   report         pretty-print any artifact produced by the other commands
-
-Every int field of a training spec can also be forced through the
-environment for CI, over both the spec file and the flags:
-MARLBENCH_EPISODES, MARLBENCH_BATCH_SIZE, MARLBENCH_UPDATE_EVERY,
-MARLBENCH_BUFFER_CAPACITY, MARLBENCH_REPETITIONS, MARLBENCH_NEIGHBORS and
-MARLBENCH_SEED. bench-sampler reads MARLBENCH_BUFFER_LEN, MARLBENCH_BATCH
-and MARLBENCH_TRIALS the same way.
 """
 from __future__ import annotations
 
@@ -19,7 +12,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import re
 import sys
 import time
@@ -39,7 +31,6 @@ EXIT_RUNTIME = 2
 EXIT_ASSERT = 3
 
 SCHEMA_VERSION = 1
-ENV_PREFIX = "MARLBENCH_"
 
 # Reference measurements from a full-scale GPU run of the same training
 # pipeline (predator-prey, 60k episodes, neighbors=3). Shown in comparison
@@ -115,16 +106,6 @@ def _has_spec_type(value, annotation: str) -> bool:
     return type(value) is {"str": str, "int": int, "bool": bool}[annotation]
 
 
-def _env_override(name: str, value, cast):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return value
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {ENV_PREFIX}{name.upper()}={raw!r}: {exc}") from exc
-
-
 def _parse_agents(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -135,15 +116,12 @@ def _parse_agents(text: str) -> list[int]:
 
 def _spec_from_args(args) -> ExperimentSpec:
     """Start from the spec file or the defaults, apply each flag that was
-    given, then let MARLBENCH_<FIELD> override any int field; check that
-    the result names at least one cell."""
+    given, and check that the result names at least one cell."""
     spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
     for f in fields(ExperimentSpec):
         value = getattr(args, f.name)
         if value is not None:
             setattr(spec, f.name, _parse_agents(value) if f.name == "agents" else value)
-        if type(f.default) is int:
-            setattr(spec, f.name, _env_override(f.name, getattr(spec, f.name), int))
     if not spec.agents or any(n < 1 for n in spec.agents):
         raise ValueError(f"spec field 'agents' must list positive counts, got {spec.agents}")
     if spec.repetitions < 1:
@@ -217,9 +195,7 @@ def _time_ns(fn) -> int:
 
 
 def cmd_bench_sampler(args) -> int:
-    length = _env_override("buffer_len", args.buffer_len, int)
-    batch = _env_override("batch", args.batch, int)
-    trials = _env_override("trials", args.trials, int)
+    length, batch, trials = args.buffer_len, args.batch, args.trials
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = args.neighbors

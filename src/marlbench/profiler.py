@@ -236,6 +236,8 @@ def report_from_json(text: str) -> dict:
     for key in ("meta", "total_ns", "phases"):
         if key not in data:
             raise ValueError(f"profile json missing key {key!r}")
+    if not _is_number(data["total_ns"]):
+        raise ValueError(f"profile json 'total_ns' must be a number, got {data['total_ns']!r}")
     if not isinstance(data["phases"], list):
         raise ValueError("profile json 'phases' must be a list")
     for row in data["phases"]:
@@ -244,4 +246,12 @@ def report_from_json(text: str) -> dict:
         missing = [k for k in ("name", "parent", "ns", "count", "pct_of_parent") if k not in row]
         if missing:
             raise ValueError(f"profile json phase row {row} missing keys {missing}")
+        wrong = [k for k in ("ns", "count", "pct_of_parent") if not _is_number(row[k])]
+        if wrong:
+            raise ValueError(f"profile json phase row {row} has non-numeric {wrong}")
     return data
+
+
+def _is_number(value) -> bool:
+    # JSON true/false parse to bool, an int subclass, and are no duration
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

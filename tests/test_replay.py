@@ -13,8 +13,8 @@ from marlbench.replay import (
     gather,
     make_index_uniform,
     neighbor_indices,
-    neighbor_window,
 )
+from marlbench.trainers import ANCHOR_SLACK
 from oracles import windowed_indices_transcription
 
 
@@ -120,24 +120,15 @@ def test_uniform_chi_square():
 # ---------------------------------------------------------------------------
 
 def test_window_interior():
-    assert neighbor_window(5, 3, 1000).tolist() == [2, 3, 4, 6, 7, 8]
+    assert neighbor_indices(np.array([5]), 1000, 3, 6).tolist() == [2, 3, 4, 6, 7, 8]
 
 
 def test_window_clamped_low():
-    assert neighbor_window(0, 3, 1000).tolist() == [1, 2, 3]
+    assert neighbor_indices(np.array([0]), 1000, 3, 3).tolist() == [1, 2, 3]
 
 
 def test_window_clamped_high():
-    assert neighbor_window(999, 3, 1000).tolist() == [996, 997, 998]
-
-
-def test_window_input_validation():
-    with pytest.raises(IndexError):
-        neighbor_window(1000, 3, 1000)
-    with pytest.raises(IndexError):
-        neighbor_window(-1, 3, 1000)
-    with pytest.raises(ValueError):
-        neighbor_window(5, 0, 1000)
+    assert neighbor_indices(np.array([999]), 1000, 3, 3).tolist() == [996, 997, 998]
 
 
 @settings(deadline=None, max_examples=120)
@@ -148,7 +139,7 @@ def test_window_input_validation():
 )
 def test_window_property(d, n, data):
     i = data.draw(st.integers(0, d - 1))
-    w = neighbor_window(i, n, d).tolist()
+    w = neighbor_indices(np.array([i]), d, n, 1).tolist()
     assert i not in w
     assert all(0 <= j < d for j in w)
     assert w == sorted(w)
@@ -195,6 +186,8 @@ def test_neighbor_indices_insufficient_data():
 def test_neighbor_indices_anchor_validation():
     with pytest.raises(IndexError):
         neighbor_indices(np.array([100]), length=100, n=3, b=4)
+    with pytest.raises(IndexError):
+        neighbor_indices(np.array([-1]), length=100, n=3, b=4)
     with pytest.raises(ValueError):
         neighbor_indices(np.array([1]), length=100, n=0, b=4)
 
@@ -230,6 +223,32 @@ def test_neighbor_indices_equal_transcription_property(data):
         assert got.tolist() == want
 
 
+def test_neighbor_indices_equal_transcription_at_training_shape():
+    # the training draw: batch 1024, 3 neighbors and draw_batch_indices'
+    # anchor count, at the fills desk-scale runs reach and at lengths just
+    # above the 2n + 1 floor, where the anchors run short
+    b, n = 1024, 3
+    m = -(-b // (2 * n))
+    k = m + ANCHOR_SLACK
+    rng = np.random.default_rng(11)
+    lengths = [int(v) for v in rng.integers(1100, 2001, size=200)] + list(range(2 * n + 2, 40))
+    branches = {"interior": 0, "clamped": 0, "short": 0}
+    for d in lengths:
+        anchors = rng.integers(0, d, size=k)
+        try:
+            want = windowed_indices_transcription(anchors.tolist(), d, n, b)
+        except ValueError:
+            with pytest.raises(InsufficientDataError):
+                neighbor_indices(anchors, d, n, b)
+            branches["short"] += 1
+            continue
+        assert neighbor_indices(anchors, d, n, b).tolist() == want
+        head = anchors[:m]
+        interior = head.min() >= n and head.max() < d - n
+        branches["interior" if interior else "clamped"] += 1
+    assert all(branches.values()), branches
+
+
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
 def test_neighbor_locality_structure(data):
@@ -238,7 +257,7 @@ def test_neighbor_locality_structure(data):
     d = data.draw(st.integers(10, 300))
     n = data.draw(st.integers(1, 5))
     i = data.draw(st.integers(0, d - 1))
-    w = neighbor_window(i, n, d)
+    w = neighbor_indices(np.array([i]), d, n, 1)
     diffs = np.diff(w)
     assert np.all((diffs == 1) | (diffs == 2))
     # exactly one skip gap when the window has indices on both sides of i
