@@ -131,6 +131,15 @@ def test_window_clamped_high():
     assert neighbor_indices(np.array([999]), 1000, 3, 3).tolist() == [996, 997, 998]
 
 
+def test_window_input_validation():
+    with pytest.raises(IndexError):
+        neighbor_indices(np.array([1000]), 1000, 3, 1)
+    with pytest.raises(IndexError):
+        neighbor_indices(np.array([-1]), 1000, 3, 1)
+    with pytest.raises(ValueError):
+        neighbor_indices(np.array([5]), 1000, 0, 1)
+
+
 @settings(deadline=None, max_examples=120)
 @given(
     d=st.integers(2, 500),
@@ -186,8 +195,6 @@ def test_neighbor_indices_insufficient_data():
 def test_neighbor_indices_anchor_validation():
     with pytest.raises(IndexError):
         neighbor_indices(np.array([100]), length=100, n=3, b=4)
-    with pytest.raises(IndexError):
-        neighbor_indices(np.array([-1]), length=100, n=3, b=4)
     with pytest.raises(ValueError):
         neighbor_indices(np.array([1]), length=100, n=0, b=4)
 
