@@ -164,6 +164,7 @@ def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> 
         "trainer_config": asdict(cfg),
         "env_config": asdict(env_cfg),
     }
+    # written last: compare takes a cell only once run.json exists
     (cell_dir / "run.json").write_text(json.dumps(run_meta, indent=2))
     final = trainers.final_window_mean(stats)
     logger.info(
@@ -266,10 +267,12 @@ _CELL_RE = re.compile(r"^n(\d+)_seed(\d+)$")
 
 
 def _scan_cells(root: Path) -> dict[tuple[int, int], Path]:
+    """Complete cells by (agents, seed): run_cell writes run.json last, so a
+    cell without it was cut off mid-write."""
     cells = {}
     for child in sorted(root.iterdir()):
         m = _CELL_RE.match(child.name)
-        if m and (child / "profile.json").exists():
+        if m and (child / "run.json").exists():
             cells[(int(m.group(1)), int(m.group(2)))] = child
     return cells
 

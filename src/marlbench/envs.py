@@ -15,6 +15,7 @@ prey, then landmarks). ``reset`` and ``step`` return the observations as one
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -131,11 +132,20 @@ def reset(cfg: EnvConfig, rng: np.random.Generator) -> tuple[WorldState, np.ndar
     return state, observations(state, cfg)
 
 
+@functools.cache
+def _off_diagonal(n: int, n_mov: int) -> np.ndarray:
+    """Mask of the (learner, movable) pairs that are not a learner and itself;
+    read-only, as every call shares it."""
+    mask = ~np.eye(n, n_mov, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def observations(state: WorldState, cfg: EnvConfig) -> np.ndarray:
     n = cfg.n_learners
     n_mov = _movable_count(cfg)
     rel = state.pos - state.pos[:n, None]
-    others = rel[:, :n_mov][~np.eye(n, n_mov, dtype=bool)]
+    others = rel[:, :n_mov][_off_diagonal(n, n_mov)]
     return np.concatenate([
         state.vel[:n],
         state.pos[:n],
@@ -160,10 +170,12 @@ def prey_policy(state: WorldState, prey_index: int) -> np.ndarray:
     if learner_idx.size == 0:
         return np.zeros(2)
     own = state.pos[prey_index]
-    dists = np.linalg.norm(state.pos[learner_idx] - own, axis=1)
-    nearest = state.pos[learner_idx[int(np.argmin(dists))]]
+    # np.linalg.norm spelled out: over rows, then of one vector
+    d = state.pos[learner_idx] - own
+    dists = np.sqrt(np.add.reduce(d * d, axis=1))
+    nearest = state.pos[learner_idx[int(dists.argmin())]]
     away = own - nearest
-    norm = np.linalg.norm(away)
+    norm = np.sqrt(away.dot(away))
     if norm == 0.0:
         return np.zeros(2)
     return away / norm
@@ -203,7 +215,9 @@ def step(
     """Advance the world one tick under the learners' joint action.
 
     Returns the mutated state, fresh observations, per-learner rewards and
-    the time-limit done flag.
+    the time-limit done flag. An action component outside [-1, 1], ±inf
+    included, is clamped with a warning; a NaN component raises
+    ``ValueError`` naming the agent, before the state changes.
     """
     n = cfg.n_learners
     if len(actions) != n:
@@ -217,19 +231,26 @@ def step(
             a = np.asarray(a, dtype=np.float64)
             if a.shape != (ACT_DIM,):
                 raise ValueError(f"action {i} has shape {a.shape}, expected ({ACT_DIM},)")
-    for i in np.flatnonzero(np.any(np.abs(acts) > 1.0, axis=1)):
-        logger.warning("action %d outside [-1, 1], clamping: %s", i, acts[i])
+    # one guard for the in-range case; NaN fails it too
+    if not np.abs(acts).max() <= 1.0:
+        nan_rows = np.flatnonzero(np.isnan(acts).any(axis=1))
+        if nan_rows.size:
+            raise ValueError(f"action {nan_rows[0]} holds NaN: {acts[nan_rows[0]]}")
+        for i in np.flatnonzero((np.abs(acts) > 1.0).any(axis=1)):
+            logger.warning("action %d outside [-1, 1], clamping: %s", i, acts[i])
+        acts = acts.clip(-1.0, 1.0)
     n_mov = _movable_count(cfg)
-    accel = np.zeros((state.n_entities, 2))
-    accel[:n] = _ACTION_GAIN * np.clip(acts, -1.0, 1.0)
+    accel = np.empty((n_mov, 2))
+    accel[:n] = _ACTION_GAIN * acts
     for j in range(n, n_mov):
         accel[j] = prey_policy(state, j)
 
     mov = slice(0, n_mov)
-    vel = (1.0 - cfg.damping) * state.vel[mov] + accel[mov] * cfg.dt
-    speeds = np.linalg.norm(vel, axis=1)
+    vel = (1.0 - cfg.damping) * state.vel[mov] + accel * cfg.dt
+    # np.linalg.norm(vel, axis=1), spelled out
+    speeds = np.sqrt(np.add.reduce(vel * vel, axis=1))
     over = speeds > cfg.max_speed
-    if np.any(over):
+    if over.any():
         vel[over] *= (cfg.max_speed / speeds[over])[:, None]
     state.vel[mov] = vel
     state.pos[mov] += vel * cfg.dt

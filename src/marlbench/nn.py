@@ -1,6 +1,6 @@
 """Dense-network kernel: two-hidden-layer MLPs with hand-rolled backprop.
 
-Everything here is pure numpy in double precision. Parameters, their
+Everything here is numpy in double precision. Parameters, their
 gradients and the Adam moments share one dataclass of arrays, so they can
 be copied and finite-difference-checked without framework machinery, and
 saved as plain named arrays (``trainers.save_checkpoint`` writes one
@@ -8,6 +8,14 @@ saved as plain named arrays (``trainers.save_checkpoint`` writes one
 parameter gradients, the input gradient, or a column slice of it, so a
 policy step that needs one agent's action slot of a wide critic input
 skips the rest.
+
+Each value is computed once and written into an array the kernel already
+owns: biases and ReLU masks go onto fresh matmul outputs, and
+``adam_step`` and ``soft_update`` update parameters, moments and targets
+in place. Every kernel evaluates its formula in the order written, so
+forming a value in place gives the same bits as forming it fresh;
+``tests/oracles.py`` keeps allocating copies that seeded runs are checked
+against.
 """
 from __future__ import annotations
 
@@ -21,6 +29,9 @@ LOG_STD_MAX = 2.0
 
 # Stabilizer inside the tanh change-of-variables term of squashed log-probs.
 TANH_EPS = 1e-6
+
+# Gaussian log-density constant, log(2*pi)/2.
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -135,11 +146,14 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         and (batch, out) for batched input. The cache feeds ``mlp_backward``.
     """
     xb, squeeze = _as_batch(x, params.in_dim, "input")
-    z1 = xb @ params.w1.T + params.b1
+    z1 = xb @ params.w1.T
+    z1 += params.b1
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2.T + params.b2
+    z2 = a1 @ params.w2.T
+    z2 += params.b2
     a2 = np.maximum(z2, 0.0)
-    y = a2 @ params.w3.T + params.b3
+    y = a2 @ params.w3.T
+    y += params.b3
     cache = ForwardCache(xb, z1, a1, z2, a2, squeeze)
     return (y[0] if squeeze else y), cache
 
@@ -175,10 +189,10 @@ def mlp_backward(
         raise ValueError(
             f"upstream batch {g.shape[0]} does not match cached batch {cache.x.shape[0]}"
         )
-    da2 = g @ params.w3
-    dz2 = da2 * (cache.z2 > 0.0)
-    da1 = dz2 @ params.w2
-    dz1 = da1 * (cache.z1 > 0.0)
+    dz2 = g @ params.w3
+    dz2 *= cache.z2 > 0.0
+    dz1 = dz2 @ params.w2
+    dz1 *= cache.z1 > 0.0
     grads = dx = None
     if param_grads:
         grads = MlpParams(
@@ -202,51 +216,58 @@ def init_adam(params: MlpParams, lr: float) -> AdamState:
     return AdamState(m=zeros_like_grads(params), v=zeros_like_grads(params), t=0, lr=lr)
 
 
-def adam_step(
-    state: AdamState,
-    params: MlpParams,
-    grads: MlpParams,
-) -> tuple[AdamState, MlpParams]:
-    """Apply one Adam update. Pure: returns fresh state and parameters."""
-    new_m, new_v, new_p = [], [], []
-    t = state.t + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()):
+def adam_step(state: AdamState, params: MlpParams, grads: MlpParams) -> None:
+    """Apply one Adam update in place to ``params``, ``state.m`` and
+    ``state.v``, and advance ``state.t``.
+
+    Every gradient is checked before the first write, so a rejected step
+    leaves the parameters and the state bit-unchanged.
+    """
+    for p, g in zip(params.arrays(), grads.arrays()):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient passed to adam_step")
-        m2 = state.beta1 * m + (1.0 - state.beta1) * g
-        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = state.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.eps)
-        new_m.append(m2)
-        new_v.append(v2)
-        new_p.append(p - step)
-    next_state = AdamState(
-        m=MlpParams(*new_m),
-        v=MlpParams(*new_v),
-        t=t,
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
-    return next_state, MlpParams(*new_p)
+    b1, b2 = state.beta1, state.beta2
+    t = state.t + 1
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()):
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in place and in this
+        # order: any other order can change the last bits of seeded runs
+        tmp = (1.0 - b1) * g
+        m *= b1
+        m += tmp
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step = m / bc1
+        step *= state.lr
+        step /= tmp
+        p -= step
+    state.t = t
 
 
-def soft_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
-    """Polyak-average online weights into the target: tau*online + (1-tau)*target."""
+def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
+    """Polyak-average online weights into the target in place:
+    target = tau*online + (1-tau)*target."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    out = []
-    for t_arr, o_arr in zip(target.arrays(), online.arrays()):
+    pairs = list(zip(target.arrays(), online.arrays()))
+    for t_arr, o_arr in pairs:
         if t_arr.shape != o_arr.shape:
             raise ValueError(
                 f"target shape {t_arr.shape} does not match online shape {o_arr.shape}"
             )
-        out.append(tau * o_arr + (1.0 - tau) * t_arr)
-    return MlpParams(*out)
+    for t_arr, o_arr in pairs:
+        part = tau * o_arr  # formed first, in case target is online
+        t_arr *= 1.0 - tau
+        t_arr += part
 
 
 def squashed_gaussian_sample(
@@ -263,7 +284,8 @@ def squashed_gaussian_sample(
         noise: standard-normal draw of the same shape.
 
     Returns:
-        Tuple of (action, log_prob). Actions lie strictly inside (-1, 1).
+        Tuple of (action, log_prob). Actions lie in [-1, 1]; tanh rounds
+        to exactly ±1 once the pre-squash sample passes about ±19.
         log_prob is the density of the squashed action: per-dimension
         Gaussian log-density of the pre-squash sample minus the tanh
         change-of-variables correction, summed over action dimensions.
@@ -276,12 +298,10 @@ def squashed_gaussian_sample(
         raise ValueError(
             f"mean/log_std/noise shapes differ: {mean.shape} {log_std.shape} {noise.shape}"
         )
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std)) and np.all(np.isfinite(noise))):
+    if not (np.isfinite(mean).all() and np.isfinite(log_std).all() and np.isfinite(noise).all()):
         raise FloatingPointError("non-finite input to squashed_gaussian_sample")
-    s = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-    u = mean + np.exp(s) * noise
-    action = np.tanh(u)
-    gauss = -s - 0.5 * np.log(2.0 * np.pi) - 0.5 * noise * noise
+    s = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+    action = np.tanh(mean + np.exp(s) * noise)
+    gauss = -s - HALF_LOG_2PI - 0.5 * noise * noise
     correction = np.log(1.0 - action * action + TANH_EPS)
-    log_prob = np.sum(gauss - correction, axis=-1)
-    return action, log_prob
+    return action, np.add.reduce(gauss - correction, axis=-1)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import envs
 from .nn import (
+    HALF_LOG_2PI,
     LOG_STD_MAX,
     LOG_STD_MIN,
     TANH_EPS,
@@ -170,12 +171,12 @@ def select_action(
     if cfg.algorithm == ALGO_MADDPG:
         action = np.tanh(out)
         if explore:
-            action = action + rng.normal(0.0, cfg.exploration_sigma, size=a_dim)
-        return np.clip(action, -1.0, 1.0)
+            action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim)
+        return action.clip(-1.0, 1.0, out=action)
     mean, log_std = out[:a_dim], out[a_dim:]
     if explore:
-        action, _ = squashed_gaussian_sample(mean, log_std, rng.standard_normal(a_dim))
-        return np.clip(action, -1.0, 1.0)
+        # tanh already lies in [-1, 1]
+        return squashed_gaussian_sample(mean, log_std, rng.standard_normal(a_dim))[0]
     return np.tanh(mean)
 
 
@@ -277,7 +278,7 @@ def critic_update(
             f"y range [{np.min(y)}, {np.max(y)}]"
         )
     ag = agents[agent_i]
-    ag.critic_opt, ag.critic = adam_step(ag.critic_opt, ag.critic, grads)
+    adam_step(ag.critic_opt, ag.critic, grads)
     return loss
 
 
@@ -327,7 +328,7 @@ def actor_loss_and_grads(
     u = mean + np.exp(s) * noise
     a_i = np.tanh(u)
     one_m_a2 = 1.0 - a_i * a_i
-    logp = np.sum(-s - 0.5 * np.log(2.0 * np.pi) - 0.5 * noise * noise, axis=1)
+    logp = np.sum(-s - HALF_LOG_2PI - 0.5 * noise * noise, axis=1)
     logp = logp - np.sum(np.log(one_m_a2 + TANH_EPS), axis=1)
 
     actions = list(actions)
@@ -361,7 +362,7 @@ def actor_update(
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"actor loss diverged for agent {agent_i}: loss={loss}")
     ag = agents[agent_i]
-    ag.actor_opt, ag.actor = adam_step(ag.actor_opt, ag.actor, grads)
+    adam_step(ag.actor_opt, ag.actor, grads)
     return loss
 
 
@@ -425,8 +426,8 @@ def update_all_trainers(
                 p_loss = actor_update(agents, batches, i, cfg, rng)
             losses.append((q_loss, p_loss))
         for ag in agents:
-            ag.target_actor = soft_update(ag.target_actor, ag.actor, cfg.tau)
-            ag.target_critic = soft_update(ag.target_critic, ag.critic, cfg.tau)
+            soft_update(ag.target_actor, ag.actor, cfg.tau)
+            soft_update(ag.target_critic, ag.critic, cfg.tau)
     return losses
 
 

@@ -13,7 +13,15 @@ import math
 import numpy as np
 
 from marlbench.envs import SCENARIO_COOP_NAV
-from marlbench.nn import MlpParams
+from marlbench.nn import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    TANH_EPS,
+    AdamState,
+    ForwardCache,
+    MlpParams,
+    _as_batch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +245,183 @@ def naive_adam_single(param: float, grad: float, lr: float, beta1: float,
     v_hat = v / (1.0 - beta2 ** t)
     param = param - lr * m_hat / (math.sqrt(v_hat) + eps)
     return param, m, v, t
+
+
+# ---------------------------------------------------------------------------
+# The allocating kernels nn.py shipped before it updated in place, copied
+# verbatim. A seeded run through these and through the package must agree
+# bit for bit. The two optimizer copies return fresh objects; the
+# writeback_* wrappers copy their results into the arguments, the calling
+# convention the package uses now.
+# ---------------------------------------------------------------------------
+
+def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on one input vector or a batch of rows.
+
+    Args:
+        params: network weights.
+        x: input of shape (in,) or (batch, in).
+
+    Returns:
+        Tuple of (output, cache). Output has shape (out,) for vector input
+        and (batch, out) for batched input. The cache feeds ``mlp_backward``.
+    """
+    xb, squeeze = _as_batch(x, params.in_dim, "input")
+    z1 = xb @ params.w1.T + params.b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ params.w2.T + params.b2
+    a2 = np.maximum(z2, 0.0)
+    y = a2 @ params.w3.T + params.b3
+    cache = ForwardCache(xb, z1, a1, z2, a2, squeeze)
+    return (y[0] if squeeze else y), cache
+
+
+def mlp_backward(
+    params: MlpParams,
+    cache: ForwardCache,
+    upstream: np.ndarray,
+    *,
+    param_grads: bool = True,
+    input_cols: slice | None = slice(None),
+) -> tuple[MlpParams | None, np.ndarray | None]:
+    """Backpropagate an upstream gradient through the cached forward pass.
+
+    Args:
+        params: the weights used in the forward pass.
+        cache: activations returned by ``mlp_forward``.
+        upstream: gradient of the scalar objective with respect to the
+            network output; shape (out,) or (batch, out) matching the
+            forward input.
+        param_grads: form the parameter gradients; when False, None
+            stands in their place.
+        input_cols: columns of the input gradient to form; None skips the
+            input gradient and returns None in its place.
+
+    Returns:
+        Tuple of (parameter gradients summed over the batch, gradient with
+        respect to the input columns ``input_cols``, shaped like the
+        forward input with only those columns kept).
+    """
+    g, _ = _as_batch(upstream, params.out_dim, "upstream")
+    if g.shape[0] != cache.x.shape[0]:
+        raise ValueError(
+            f"upstream batch {g.shape[0]} does not match cached batch {cache.x.shape[0]}"
+        )
+    da2 = g @ params.w3
+    dz2 = da2 * (cache.z2 > 0.0)
+    da1 = dz2 @ params.w2
+    dz1 = da1 * (cache.z1 > 0.0)
+    grads = dx = None
+    if param_grads:
+        grads = MlpParams(
+            dz1.T @ cache.x, dz1.sum(axis=0),
+            dz2.T @ cache.a1, dz2.sum(axis=0),
+            g.T @ cache.a2, g.sum(axis=0),
+        )
+    if input_cols is not None:
+        # with OpenBLAS at batch > 1, this transposed form gives a column
+        # subset the same bits as those columns of the full product, so
+        # seeded runs do not move; dz1 @ w1[:, cols] differs in the last bits
+        dx = (params.w1[:, input_cols].T @ dz1.T).T
+        if cache.squeeze:
+            dx = dx[0]
+    return grads, dx
+
+
+def adam_step(
+    state: AdamState,
+    params: MlpParams,
+    grads: MlpParams,
+) -> tuple[AdamState, MlpParams]:
+    """Apply one Adam update. Pure: returns fresh state and parameters."""
+    new_m, new_v, new_p = [], [], []
+    t = state.t + 1
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("non-finite gradient passed to adam_step")
+        m2 = state.beta1 * m + (1.0 - state.beta1) * g
+        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
+        step = state.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.eps)
+        new_m.append(m2)
+        new_v.append(v2)
+        new_p.append(p - step)
+    next_state = AdamState(
+        m=MlpParams(*new_m),
+        v=MlpParams(*new_v),
+        t=t,
+        lr=state.lr,
+        beta1=state.beta1,
+        beta2=state.beta2,
+        eps=state.eps,
+    )
+    return next_state, MlpParams(*new_p)
+
+
+def soft_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
+    """Polyak-average online weights into the target: tau*online + (1-tau)*target."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    out = []
+    for t_arr, o_arr in zip(target.arrays(), online.arrays()):
+        if t_arr.shape != o_arr.shape:
+            raise ValueError(
+                f"target shape {t_arr.shape} does not match online shape {o_arr.shape}"
+            )
+        out.append(tau * o_arr + (1.0 - tau) * t_arr)
+    return MlpParams(*out)
+
+
+def squashed_gaussian_sample(
+    mean: np.ndarray,
+    log_std: np.ndarray,
+    noise: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample a tanh-squashed Gaussian action via the reparameterization trick.
+
+    Args:
+        mean: distribution mean, shape (d,) or (batch, d).
+        log_std: log standard deviation, same shape; clamped to
+            [LOG_STD_MIN, LOG_STD_MAX] before use.
+        noise: standard-normal draw of the same shape.
+
+    Returns:
+        Tuple of (action, log_prob). Actions lie strictly inside (-1, 1).
+        log_prob is the density of the squashed action: per-dimension
+        Gaussian log-density of the pre-squash sample minus the tanh
+        change-of-variables correction, summed over action dimensions.
+        Scalar for vector input, shape (batch,) for batched input.
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    log_std = np.asarray(log_std, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    if mean.shape != log_std.shape or mean.shape != noise.shape:
+        raise ValueError(
+            f"mean/log_std/noise shapes differ: {mean.shape} {log_std.shape} {noise.shape}"
+        )
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std)) and np.all(np.isfinite(noise))):
+        raise FloatingPointError("non-finite input to squashed_gaussian_sample")
+    s = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+    u = mean + np.exp(s) * noise
+    action = np.tanh(u)
+    gauss = -s - 0.5 * np.log(2.0 * np.pi) - 0.5 * noise * noise
+    correction = np.log(1.0 - action * action + TANH_EPS)
+    log_prob = np.sum(gauss - correction, axis=-1)
+    return action, log_prob
+
+
+def writeback_adam_step(state: AdamState, params: MlpParams, grads: MlpParams) -> None:
+    new_state, new_params = adam_step(state, params, grads)
+    for dst, src in ((params, new_params), (state.m, new_state.m), (state.v, new_state.v)):
+        for f in PARAM_FIELDS:
+            getattr(dst, f)[...] = getattr(src, f)
+    state.t = new_state.t
+
+
+def writeback_soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
+    new = soft_update(target, online, tau)
+    for f in PARAM_FIELDS:
+        getattr(target, f)[...] = getattr(new, f)

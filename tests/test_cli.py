@@ -222,9 +222,9 @@ def test_bench_sampler_bad_input_is_runtime_error(tmp_path, bad):
 # compare
 # ---------------------------------------------------------------------------
 
-def _make_tree(tmp_path, name, sampler="uniform"):
+def _make_tree(tmp_path, name, sampler="uniform", **kw):
     out = tmp_path / name
-    assert main(train_args(out, sampler=sampler)) == EXIT_OK
+    assert main(train_args(out, sampler=sampler, **kw)) == EXIT_OK
     return out
 
 
@@ -271,6 +271,16 @@ def test_compare_unpaired_cells_is_runtime_error(tmp_path):
     shutil.copytree(base, opt)
     shutil.rmtree(opt / "n2_seed0")
     assert main(["compare", str(base), str(opt)]) == EXIT_RUNTIME
+
+
+def test_compare_cell_without_run_json_is_unpaired(tmp_path, caplog):
+    # run_cell writes run.json last, so a cell without it was cut off
+    base = _make_tree(tmp_path, "base", agents="2,3")
+    opt = tmp_path / "opt"
+    shutil.copytree(base, opt)
+    (opt / "n3_seed0" / "run.json").unlink()
+    assert main(["compare", str(base), str(opt)]) == EXIT_RUNTIME
+    assert "missing from optimized [(3, 0)]" in caplog.text
 
 
 @pytest.mark.parametrize("label", ["MiniBatchSampling", "UpdateAllTrainers"])

@@ -143,6 +143,26 @@ def test_step_clamps_out_of_range_actions(caplog):
     assert any("clamp" in rec.message for rec in caplog.records)
 
 
+def test_step_rejects_nan_action_naming_the_agent():
+    cfg, state, _ = fresh("predator-prey", 3, seed=1)
+    pos, vel = state.pos.copy(), state.vel.copy()
+    with pytest.raises(ValueError, match=r"action 1 holds NaN"):
+        step(state, [np.zeros(2), np.array([0.2, np.nan]), np.zeros(2)], cfg)
+    # rejected before anything moved
+    assert np.array_equal(state.pos, pos) and np.array_equal(state.vel, vel)
+    assert state.step_count == 0
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_step_clamps_infinite_actions(caplog, value):
+    cfg, state, _ = fresh("coop-nav", 2, n_landmarks=1)
+    with caplog.at_level(logging.WARNING, logger="marlbench.envs"):
+        _, obs, rewards, _ = step(state, [np.zeros(2), np.array([value, 0.0])], cfg)
+    assert state.vel[1] == pytest.approx([0.5 * np.sign(value), 0.0])
+    assert np.isfinite(obs).all() and np.isfinite(rewards).all()
+    assert [rec.message.split(" outside")[0] for rec in caplog.records] == ["action 1"]
+
+
 def test_landmarks_never_move():
     cfg, state, _ = fresh("coop-nav", 3, seed=3)
     lm_before = state.pos[3:].copy()

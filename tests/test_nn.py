@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marlbench.nn import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     MlpParams,
     adam_step,
     init_adam,
@@ -19,6 +21,7 @@ from marlbench.nn import (
     squashed_gaussian_sample,
     zeros_like_grads,
 )
+import oracles
 from oracles import (
     PARAM_FIELDS,
     assert_grad_close,
@@ -260,7 +263,7 @@ def test_adam_zero_grad_is_identity():
     state = init_adam(p, lr=0.01)
     g = zeros_like_grads(p)
     for _ in range(5):
-        state, p = adam_step(state, p, g)
+        adam_step(state, p, g)
     assert state.t == 5
     for f in PARAM_FIELDS:
         assert np.array_equal(getattr(p, f), getattr(before, f))
@@ -271,7 +274,7 @@ def test_adam_scalar_first_step_hand_value():
     state = init_adam(p, lr=0.01)
     g = zeros_like_grads(p)
     g.w1[0, 0] = 1.0
-    state, p = adam_step(state, p, g)
+    adam_step(state, p, g)
     assert state.t == 1
     # m_hat = 1, v_hat = 1 after bias correction: step = lr / (1 + eps)
     assert p.w1[0, 0] == pytest.approx(-0.01, abs=1e-9)
@@ -286,7 +289,7 @@ def test_adam_monotone_under_constant_grad():
     g.w1[0, 0] = 1.0
     seen = [0.0]
     for _ in range(3):
-        state, p = adam_step(state, p, g)
+        adam_step(state, p, g)
         seen.append(float(p.w1[0, 0]))
     assert all(b < a for a, b in zip(seen, seen[1:]))
 
@@ -301,7 +304,7 @@ def test_adam_matches_scalar_reference_trajectory():
         gval = float(rng.normal())
         g = zeros_like_grads(p)
         g.w1[0, 0] = gval
-        state, p = adam_step(state, p, g)
+        adam_step(state, p, g)
         ref_p, ref_m, ref_v, ref_t = naive_adam_single(
             ref_p, gval, 0.01, 0.9, 0.999, 1e-8, ref_m, ref_v, ref_t
         )
@@ -321,6 +324,30 @@ def test_adam_rejects_non_finite_grads():
         adam_step(state, p, g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "shape"])
+def test_adam_rejected_step_writes_nothing(bad):
+    # w1 and b1 come before w2: a step that updated each field as it checked
+    # it would already have written them when w2's gradient fails
+    rng = np.random.default_rng(29)
+    p = init_mlp_params(3, 2, rng, hidden=4)
+    state = init_adam(p, lr=0.01)
+    g = zeros_like_grads(p)
+    for f in PARAM_FIELDS:
+        getattr(g, f)[...] = rng.normal(size=getattr(g, f).shape)
+    adam_step(state, p, g)
+    before = [clone_params(x) for x in (p, state.m, state.v)]
+    if bad == "shape":
+        g.w2 = np.zeros((4, 5))
+    else:
+        g.w2[1, 2] = bad
+    with pytest.raises((FloatingPointError, ValueError)):
+        adam_step(state, p, g)
+    assert state.t == 1
+    for now, then in zip((p, state.m, state.v), before):
+        for f in PARAM_FIELDS:
+            assert getattr(now, f).tobytes() == getattr(then, f).tobytes()
+
+
 def test_adam_second_moment_nonnegative():
     rng = np.random.default_rng(23)
     p = init_mlp_params(2, 1, rng, hidden=3)
@@ -328,7 +355,7 @@ def test_adam_second_moment_nonnegative():
     for _ in range(4):
         g = zeros_like_grads(p)
         g.w1[:] = rng.normal(size=g.w1.shape)
-        state, p = adam_step(state, p, g)
+        adam_step(state, p, g)
     for f in PARAM_FIELDS:
         assert np.all(getattr(state.v, f) >= 0.0)
         assert np.all(np.isfinite(getattr(p, f)))
@@ -342,26 +369,27 @@ def test_soft_update_tau_one_copies_online():
     rng = np.random.default_rng(1)
     target = init_mlp_params(3, 2, rng, hidden=4)
     online = init_mlp_params(3, 2, rng, hidden=4)
-    new = soft_update(target, online, 1.0)
+    soft_update(target, online, 1.0)
     for f in PARAM_FIELDS:
-        assert np.array_equal(getattr(new, f), getattr(online, f))
+        assert np.array_equal(getattr(target, f), getattr(online, f))
 
 
 def test_soft_update_tau_zero_keeps_target():
     rng = np.random.default_rng(2)
     target = init_mlp_params(3, 2, rng, hidden=4)
     online = init_mlp_params(3, 2, rng, hidden=4)
-    new = soft_update(target, online, 0.0)
+    before = clone_params(target)
+    soft_update(target, online, 0.0)
     for f in PARAM_FIELDS:
-        assert np.array_equal(getattr(new, f), getattr(target, f))
+        assert np.array_equal(getattr(target, f), getattr(before, f))
 
 
 def test_soft_update_small_tau_arithmetic():
     target = zero_params(1, 1, 1)
     online = zero_params(1, 1, 1)
     online.w1[0, 0] = 1.0
-    new = soft_update(target, online, 0.01)
-    assert new.w1[0, 0] == pytest.approx(0.01)
+    soft_update(target, online, 0.01)
+    assert target.w1[0, 0] == pytest.approx(0.01)
 
 
 def test_soft_update_rejects_bad_tau():
@@ -371,13 +399,26 @@ def test_soft_update_rejects_bad_tau():
             soft_update(p, p, tau)
 
 
+def test_soft_update_shape_mismatch_writes_nothing():
+    rng = np.random.default_rng(3)
+    target = init_mlp_params(3, 2, rng, hidden=4)
+    online = init_mlp_params(3, 2, rng, hidden=4)
+    online.w3 = np.zeros((3, 4))
+    before = clone_params(target)
+    with pytest.raises(ValueError, match="target shape"):
+        soft_update(target, online, 0.5)
+    for f in PARAM_FIELDS:
+        assert np.array_equal(getattr(target, f), getattr(before, f))
+
+
 @settings(deadline=None, max_examples=40)
 @given(tau=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
 def test_soft_update_convexity(tau, seed):
     rng = np.random.default_rng(seed)
     target = init_mlp_params(2, 2, rng, hidden=3)
     online = init_mlp_params(2, 2, rng, hidden=3)
-    new = soft_update(target, online, tau)
+    new = clone_params(target)
+    soft_update(new, online, tau)
     for f in PARAM_FIELDS:
         t = getattr(target, f)
         o = getattr(online, f)
@@ -390,6 +431,24 @@ def test_soft_update_convexity(tau, seed):
 # ---------------------------------------------------------------------------
 # squashed Gaussian sampling
 # ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(1,), (2,), (5,), (1, 2), (64, 2), (7, 3)]),
+)
+def test_squashed_sample_matches_allocating_reference(seed, shape):
+    # log-stds reach past both clamps, so the clip is exercised on each side
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(0.0, 3.0, size=shape)
+    log_std = rng.uniform(LOG_STD_MIN - 10.0, LOG_STD_MAX + 10.0, size=shape)
+    noise = rng.standard_normal(shape)
+    action, logp = squashed_gaussian_sample(mean, log_std, noise)
+    want_action, want_logp = oracles.squashed_gaussian_sample(mean, log_std, noise)
+    assert action.tobytes() == want_action.tobytes()
+    assert np.asarray(logp).tobytes() == np.asarray(want_logp).tobytes()
+    assert np.shape(logp) == np.shape(want_logp)
+
 
 def test_squashed_zero_noise_center_formula():
     log_std = np.array([0.3, -1.0])

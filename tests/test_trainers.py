@@ -630,6 +630,42 @@ def test_run_training_deterministic_stats():
     assert _strip_wall(stats_to_csv(s1)) == _strip_wall(stats_to_csv(s2))
 
 
+@pytest.mark.parametrize("scenario, algorithm, sampler", [
+    ("coop-nav", "maddpg", "uniform"),
+    ("coop-nav", "maddpg", "neighbor"),
+    ("predator-prey", "masac", "uniform"),
+])
+def test_run_training_matches_allocating_reference_kernels(
+        monkeypatch, tmp_path, scenario, algorithm, sampler):
+    # the in-place kernels must reproduce, bit for bit, a run through the
+    # allocating copies in tests/oracles.py
+    import marlbench.trainers as tr
+    import oracles
+
+    cfg = tiny_cfg(algorithm=algorithm, sampler=sampler, episodes=6, batch_size=32,
+                   update_every=20, buffer_capacity=500, seed=4)
+    env_cfg = envs.make_env_config(scenario, 3, seed=5)
+
+    def train(tag):
+        stats, report = run_training(cfg, env_cfg, checkpoint_dir=tmp_path / tag)
+        with np.load(tmp_path / tag / "networks.npz") as data:
+            nets = {k: data[k] for k in data.files}
+        return _strip_wall(stats_to_csv(stats)), nets, report.meta["update_rounds"]
+
+    shipped = train("shipped")
+    for name in ("mlp_forward", "mlp_backward", "squashed_gaussian_sample"):
+        monkeypatch.setattr(tr, name, getattr(oracles, name))
+    monkeypatch.setattr(tr, "adam_step", oracles.writeback_adam_step)
+    monkeypatch.setattr(tr, "soft_update", oracles.writeback_soft_update)
+    reference = train("reference")
+
+    assert shipped[2] == reference[2] >= 5
+    assert shipped[0] == reference[0]
+    assert shipped[1].keys() == reference[1].keys()
+    for key, arr in shipped[1].items():
+        assert arr.tobytes() == reference[1][key].tobytes(), key
+
+
 def test_run_training_masac_smoke():
     cfg = tiny_cfg(algorithm="masac", episodes=6, batch_size=16, update_every=50,
                    buffer_capacity=500)
