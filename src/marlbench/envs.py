@@ -166,15 +166,18 @@ def prey_policy(state: WorldState, prey_index: int) -> np.ndarray:
         raise ValueError(
             f"entity {prey_index} is {KIND_NAMES[int(state.kind[prey_index])]}, not prey"
         )
-    learner_idx = np.nonzero(state.kind == KIND_LEARNER)[0]
-    if learner_idx.size == 0:
+    return _flee(state.pos[state.kind == KIND_LEARNER], state.pos[prey_index])
+
+
+def _flee(learner_pos: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """``prey_policy``'s force for a prey at ``own`` and learners at the rows
+    of ``learner_pos``."""
+    if learner_pos.shape[0] == 0:
         return np.zeros(2)
-    own = state.pos[prey_index]
     # np.linalg.norm spelled out: over rows, then of one vector
-    d = state.pos[learner_idx] - own
+    d = learner_pos - own
     dists = np.sqrt(np.add.reduce(d * d, axis=1))
-    nearest = state.pos[learner_idx[int(dists.argmin())]]
-    away = own - nearest
+    away = own - learner_pos[int(dists.argmin())]
     norm = np.sqrt(away.dot(away))
     if norm == 0.0:
         return np.zeros(2)
@@ -242,8 +245,9 @@ def step(
     n_mov = _movable_count(cfg)
     accel = np.empty((n_mov, 2))
     accel[:n] = _ACTION_GAIN * acts
+    # reset puts the learners in rows [0, n) and the prey in [n, n_mov)
     for j in range(n, n_mov):
-        accel[j] = prey_policy(state, j)
+        accel[j] = _flee(state.pos[:n], state.pos[j])
 
     mov = slice(0, n_mov)
     vel = (1.0 - cfg.damping) * state.vel[mov] + accel * cfg.dt

@@ -425,3 +425,124 @@ def writeback_soft_update(target: MlpParams, online: MlpParams, tau: float) -> N
     new = soft_update(target, online, tau)
     for f in PARAM_FIELDS:
         getattr(target, f)[...] = getattr(new, f)
+
+
+# ---------------------------------------------------------------------------
+# The update round trainers.py shipped before target actors ran once per
+# distinct replay row: every agent draws as it goes and runs every target
+# actor over its own batch. update_all_trainers, target_q_calculation and
+# actor_update are copied verbatim, one indent deeper. They sit inside a
+# function so that their kernel names bind to the package's in-place
+# kernels imported there, not to this module's allocating references of
+# the same names (whose soft_update and adam_step return copies).
+# ---------------------------------------------------------------------------
+
+def per_batch_update_all_trainers():
+    """Return the per-batch ``update_all_trainers``; seeded rounds through it
+    and through the package must agree bit for bit."""
+    from marlbench.nn import mlp_forward, soft_update, squashed_gaussian_sample
+    from marlbench.profiler import Phase, phase_scope
+    from marlbench.trainers import (
+        ALGO_MADDPG,
+        ALGO_MASAC,
+        NonFiniteLossError,
+        _min_buffer_fill,
+        actor_loss_and_grads,
+        adam_step,
+        collect_joint,
+        critic_update,
+        draw_batch_indices,
+        target_y,
+    )
+
+    def target_q_calculation(
+        agents: list[AgentBundle],
+        joint_batches: list,
+        agent_i: int,
+        cfg: TrainerConfig,
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """Evaluate agent_i's target critic at the next state under target policies.
+
+        Every agent's next action comes from its own target actor. For the
+        entropy-regularized algorithm the next actions are sampled and the
+        returned value is the critic estimate minus alpha times the log-prob of
+        agent_i's own next action.
+        """
+        if not 0 <= agent_i < len(agents):
+            raise IndexError(f"agent {agent_i} out of range")
+        next_actions = []
+        logp_i = None
+        for j, ag in enumerate(agents):
+            out, _ = mlp_forward(ag.target_actor, joint_batches[j].obses_tp1)
+            if cfg.algorithm == ALGO_MADDPG:
+                next_actions.append(np.tanh(out))
+            else:
+                if rng is None:
+                    raise ValueError("stochastic target actions need an rng")
+                a_dim = ag.act_dim
+                mean, log_std = out[:, :a_dim], out[:, a_dim:]
+                noise = rng.standard_normal(mean.shape)
+                action, logp = squashed_gaussian_sample(mean, log_std, noise)
+                next_actions.append(action)
+                if j == agent_i:
+                    logp_i = logp
+        cols = [jb.obses_tp1 for jb in joint_batches] + next_actions
+        x = np.concatenate(cols, axis=1)
+        q, _ = mlp_forward(agents[agent_i].target_critic, x)
+        q = q[:, 0]
+        if cfg.algorithm == ALGO_MASAC:
+            q = q - cfg.entropy_alpha * logp_i
+        return q
+
+    def actor_update(
+        agents: list[AgentBundle],
+        joint_batches: list,
+        agent_i: int,
+        cfg: TrainerConfig,
+        rng: np.random.Generator | None = None,
+    ) -> float:
+        loss, grads = actor_loss_and_grads(agents, joint_batches, agent_i, cfg, rng)
+        if not np.isfinite(loss):
+            raise NonFiniteLossError(f"actor loss diverged for agent {agent_i}: loss={loss}")
+        ag = agents[agent_i]
+        adam_step(ag.actor_opt, ag.actor, grads)
+        return loss
+
+    def update_all_trainers(
+        agents: list[AgentBundle],
+        cfg: TrainerConfig,
+        report: ProfileReport,
+        rng: np.random.Generator,
+    ) -> list[tuple[float, float]] | None:
+        """Run one update round: per agent, sample, build targets, step critic
+        then actor; finally soft-update every target network.
+
+        Returns per-agent (critic_loss, actor_loss), or None when any buffer is
+        still too small, which callers count rather than treat as an error.
+        """
+        need = _min_buffer_fill(cfg)
+        if any(ag.buffer.size < need for ag in agents):
+            return None
+        buffers = [ag.buffer for ag in agents]
+        length = buffers[0].size
+        losses = []
+        with phase_scope(report, Phase.UPDATE_ALL_TRAINERS):
+            for i in range(len(agents)):
+                with phase_scope(report, Phase.MINI_BATCH_SAMPLING):
+                    idx = draw_batch_indices(cfg, rng, length, report.meta)
+                    batches = collect_joint(buffers, idx)
+                with phase_scope(report, Phase.TARGET_Q_CALC):
+                    q_next = target_q_calculation(agents, batches, i, cfg, rng)
+                    y = target_y(batches[i].rewards, batches[i].dones, q_next, cfg.gamma)
+                with phase_scope(report, Phase.Q_LOSS):
+                    q_loss = critic_update(agents, batches, i, y)
+                with phase_scope(report, Phase.P_LOSS):
+                    p_loss = actor_update(agents, batches, i, cfg, rng)
+                losses.append((q_loss, p_loss))
+            for ag in agents:
+                soft_update(ag.target_actor, ag.actor, cfg.tau)
+                soft_update(ag.target_critic, ag.critic, cfg.tau)
+        return losses
+
+    return update_all_trainers

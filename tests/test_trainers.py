@@ -422,16 +422,33 @@ def test_update_tau_zero_leaves_targets_bit_identical():
                    for f in PARAM_FIELDS)
 
 
-def test_update_scope_counts_per_agent():
+def test_update_scope_counts_per_agent(monkeypatch):
+    # perfbench wraps these trainers attributes by name, and its cell check
+    # reads MiniBatchSampling count == N x rounds. At 8 rows the 3 index
+    # sets share at most one batch of distinct rows, so target actors run
+    # once over them; at 20 rows they run over every agent's batch.
+    import marlbench.trainers as tr
+
+    seams = ("draw_batch_indices", "collect_joint", "target_q_calculation",
+             "critic_update", "actor_update")
+    calls = dict.fromkeys(seams, 0)
+    for name in seams:
+        def counted(*args, _name=name, _real=getattr(tr, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(tr, name, counted)
     cfg = tiny_cfg(batch_size=8)
-    agents = make_tiny_agents(3, 3, 2, cfg)
-    fill_buffers(agents, 20)
-    report = ProfileReport(meta={})
-    losses = update_all_trainers(agents, cfg, report, np.random.default_rng(0))
-    assert len(losses) == 3
-    assert report.phase_count(Phase.UPDATE_ALL_TRAINERS) == 1
-    for p in (Phase.MINI_BATCH_SAMPLING, Phase.TARGET_Q_CALC, Phase.Q_LOSS, Phase.P_LOSS):
-        assert report.phase_count(p) == 3
+    for fill in (8, 20):
+        agents = make_tiny_agents(3, 3, 2, cfg)
+        fill_buffers(agents, fill)
+        calls.update(dict.fromkeys(seams, 0))
+        report = ProfileReport(meta={})
+        losses = update_all_trainers(agents, cfg, report, np.random.default_rng(0))
+        assert len(losses) == 3
+        assert calls == dict.fromkeys(seams, 3)
+        assert report.phase_count(Phase.UPDATE_ALL_TRAINERS) == 1
+        for p in (Phase.MINI_BATCH_SAMPLING, Phase.TARGET_Q_CALC, Phase.Q_LOSS, Phase.P_LOSS):
+            assert report.phase_count(p) == 3
 
 
 def test_update_ordering_critic_actor_then_targets(monkeypatch):
@@ -446,7 +463,7 @@ def test_update_ordering_critic_actor_then_targets(monkeypatch):
     monkeypatch.setattr(tr, "critic_update",
                         lambda a, b, i, y: (seq.append(("critic", i)), real_cu(a, b, i, y))[1])
     monkeypatch.setattr(tr, "actor_update",
-                        lambda a, b, i, c, r=None: (seq.append(("actor", i)), real_au(a, b, i, c, r))[1])
+                        lambda a, b, i, c, noise=None: (seq.append(("actor", i)), real_au(a, b, i, c, noise))[1])
     monkeypatch.setattr(tr, "soft_update",
                         lambda t, o, tau: (seq.append(("soft", None)), real_su(t, o, tau))[1])
 
@@ -485,6 +502,95 @@ def test_update_routes_backward_through_module_name(monkeypatch, algorithm):
         assert isinstance(args[0], MlpParams)
         assert isinstance(args[1], ForwardCache)
         assert args[1].x.shape == (cfg.batch_size, args[0].in_dim)
+
+
+@pytest.mark.parametrize("algorithm", ["maddpg", "masac"])
+@pytest.mark.parametrize("fill, union", [(12, True), (64, False)])
+def test_update_target_actor_forwards_follow_union_rule(monkeypatch, algorithm, fill, union):
+    # N=4, b=8: the round's distinct rows U take one target-actor forward per
+    # actor per ceil(|U| / b) blocks when that is at most N // 2, else one per
+    # agent's batch; every forward keeps the batch's b rows
+    import marlbench.trainers as tr
+
+    n, b = 4, 8
+    cfg = tiny_cfg(algorithm=algorithm, batch_size=b)
+    agents = make_tiny_agents(n, 3, 2, cfg)
+    fill_buffers(agents, fill)
+    targets = {id(ag.target_actor): j for j, ag in enumerate(agents)}
+    forwards, idx_sets = [], []
+    real_forward, real_draw = tr.mlp_forward, tr.draw_batch_indices
+
+    def forward(params, x):
+        if id(params) in targets:
+            forwards.append((targets[id(params)], x.shape))
+        return real_forward(params, x)
+
+    def draw(*args, **kw):
+        idx_sets.append(real_draw(*args, **kw))
+        return idx_sets[-1]
+
+    monkeypatch.setattr(tr, "mlp_forward", forward)
+    monkeypatch.setattr(tr, "draw_batch_indices", draw)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        forwards.clear()
+        idx_sets.clear()
+        assert update_all_trainers(agents, cfg, ProfileReport(meta={}), rng) is not None
+        blocks = -(-np.unique(np.concatenate(idx_sets)).size // b)
+        assert (blocks <= n // 2) == union
+        per_actor = blocks if union else n
+        assert sorted(j for j, _ in forwards) == sorted(list(range(n)) * per_actor)
+        assert all(shape == (b, 3) for _, shape in forwards)
+
+
+def _filled_agents(n: int, cfg: TrainerConfig, rows: int, seed: int) -> list[AgentBundle]:
+    env_cfg = envs.make_env_config("coop-nav", n, seed=0)
+    agents = make_agents(env_cfg, cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for ag in agents:
+        buf = ag.buffer
+        for arr in (buf.obs, buf.act, buf.rew, buf.next_obs):
+            rng.random(out=arr)
+        buf.act *= 2.0
+        buf.act -= 1.0
+        buf.done[:] = rng.random(rows) < 0.04
+        buf.size, buf.cursor = rows, 0
+    return agents
+
+
+# N=4: at 1,100 rows the four index sets share at most 1,100 distinct rows,
+# two batches, so target actors run over the union; at 20,000 rows they
+# share about 3,700 and run over every batch; at b=8 and 12 rows the union
+# path pads its second block
+@pytest.mark.parametrize("algorithm, sampler, b, rows", [
+    (algorithm, sampler, 1024, rows)
+    for algorithm in ("maddpg", "masac")
+    for sampler in ("uniform", "neighbor")
+    for rows in (1_100, 20_000)
+] + [("masac", "neighbor", 8, 12)])
+def test_update_round_matches_per_batch_oracle(algorithm, sampler, b, rows):
+    import copy
+
+    import oracles
+
+    cfg = tiny_cfg(algorithm=algorithm, sampler=sampler, batch_size=b,
+                   buffer_capacity=rows, hidden=64)
+    shipped = _filled_agents(4, cfg, rows, seed=b + rows)
+    reference = copy.deepcopy(shipped)
+    round_ref = oracles.per_batch_update_all_trainers()
+    rng_s, rng_r = np.random.default_rng(7), np.random.default_rng(7)
+    meta_s, meta_r = {}, {}
+    for _ in range(3):
+        got = update_all_trainers(shipped, cfg, ProfileReport(meta=meta_s), rng_s)
+        want = round_ref(reference, cfg, ProfileReport(meta=meta_r), rng_r)
+        assert got == want
+    assert rng_s.bit_generator.state == rng_r.bit_generator.state
+    assert meta_s == meta_r
+    for ag_s, ag_r in zip(shipped, reference):
+        for role in ("actor", "critic", "target_actor", "target_critic"):
+            for f in PARAM_FIELDS:
+                a, w = getattr(getattr(ag_s, role), f), getattr(getattr(ag_r, role), f)
+                assert a.tobytes() == w.tobytes(), (role, f)
 
 
 def test_update_advances_adam_counters_together():
