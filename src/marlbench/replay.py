@@ -1,12 +1,18 @@
 """Experience replay: ring-buffer storage and batch index strategies.
 
-Storage is structure-of-arrays so a batch gather touches five flat numpy
-arrays. Two index strategies are provided: independent uniform draws, and
-windowed neighbor sampling that expands a handful of anchor indices into
-contiguous index runs, which keeps most of the gather sequential in memory.
-A window clamped at a buffer edge is expanded like an interior one and then
-masked to the filled range, so a draw is a few numpy calls whatever the
-anchors.
+The agents of one run share a ``JointReplay``: every step is stored as one
+row in the centralized critic's input layout,
+``[obs_0..obs_{N-1} | act_0..act_{N-1}]``, plus a next-observation row of
+the same width. Each agent's ``ReplayBuffer`` is a set of column views into
+that store, so rows are still written once per agent per step, and a joint
+batch is one row gather per store array whose rows are already critic
+inputs. A ``ReplayBuffer`` built on its own keeps five contiguous arrays.
+
+Two index strategies are provided: independent uniform draws, and windowed
+neighbor sampling that expands a handful of anchor indices into contiguous
+index runs, which keeps most of the gather sequential in memory. A window
+clamped at a buffer edge is expanded like an interior one and then masked to
+the filled range, so a draw is a few numpy calls whatever the anchors.
 """
 from __future__ import annotations
 
@@ -42,26 +48,68 @@ class BatchArrays:
         return self.obses_t.shape[0]
 
 
+class JointBatch:
+    """One mini-batch of joint rows, gathered from a ``JointReplay``.
+
+    ``x`` is the critic input at the sampled steps; ``x_tp1`` holds the
+    next observations in the same layout, its action columns free for the
+    next actions; ``rew`` and ``done`` hold one column per agent.
+    ``obs_cols[i]`` and ``act_cols[i]`` are agent i's column slices.
+    Indexing or iterating yields each agent's ``BatchArrays``, made of views
+    into these arrays, so they follow the arrays when ``collect_joint``
+    gathers into them again.
+    """
+
+    def __init__(self, x, x_tp1, rew, done, obs_cols, act_cols):
+        self.x, self.x_tp1, self.rew, self.done = x, x_tp1, rew, done
+        self.obs_cols, self.act_cols = obs_cols, act_cols
+        self.agents = [
+            BatchArrays(x[:, obs], x[:, act], rew[:, i], x_tp1[:, obs], done[:, i])
+            for i, (obs, act) in enumerate(zip(obs_cols, act_cols))
+        ]
+
+    def __len__(self) -> int:
+        return len(self.agents)
+
+    def __getitem__(self, i: int) -> BatchArrays:
+        return self.agents[i]
+
+    def __iter__(self):
+        return iter(self.agents)
+
+
 class ReplayBuffer:
     """Fixed-capacity ring buffer over five parallel arrays.
 
     Once full, each insert overwrites the oldest slot. Insertion order is
     therefore also (wrapped) memory order, which neighbor sampling relies on.
+    Built on its own, the buffer owns five C-contiguous arrays; built by
+    ``joint_buffers`` as agent ``agent``'s part of a ``JointReplay``
+    (``store`` set), they are column views of the store's arrays.
     """
 
+    store: JointReplay | None = None
+    agent = 0
+
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if obs_dim < 1 or act_dim < 1:
-            raise ValueError(f"invalid dims obs={obs_dim} act={act_dim}")
-        self.capacity = capacity
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
-        self.rew = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        _check_dims(capacity, obs_dim, act_dim)
+        self._bind(np.zeros((capacity, obs_dim)), np.zeros((capacity, act_dim)),
+                   np.zeros(capacity), np.zeros((capacity, obs_dim)), np.zeros(capacity))
+
+    @classmethod
+    def _columns(cls, store: JointReplay, i: int) -> ReplayBuffer:
+        """Agent i's columns of ``store``."""
+        buf = cls.__new__(cls)
+        buf.store, buf.agent = store, i
+        obs, act = store.obs_cols[i], store.act_cols[i]
+        buf._bind(store.x[:, obs], store.x[:, act], store.rew[:, i],
+                  store.next_x[:, obs], store.done[:, i])
+        return buf
+
+    def _bind(self, obs, act, rew, next_obs, done) -> None:
+        self.capacity, self.obs_dim = obs.shape
+        self.act_dim = act.shape[1]
+        self.obs, self.act, self.rew, self.next_obs, self.done = obs, act, rew, next_obs, done
         self.size = 0
         self.cursor = 0
 
@@ -87,6 +135,49 @@ class ReplayBuffer:
         self.cursor = (i + 1) % self.capacity
         if self.size < self.capacity:
             self.size += 1
+
+
+def _check_dims(capacity: int, *dims: int) -> None:
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    if min(dims) < 1:
+        raise ValueError(f"invalid dims {dims}")
+
+
+class JointReplay:
+    """One replay store for N agents, each row in the critic's input layout.
+
+    ``x`` holds ``[obs_0..obs_{N-1} | act_0..act_{N-1}]`` per step and
+    ``next_x`` the next observations in the same columns. ``next_x``'s
+    action columns stay zero in the store: a gathered copy of them is where
+    target-Q writes the next actions. ``rew`` and ``done`` hold one column
+    per agent. Only this class knows the column layout.
+
+    The buffers refer to the store and the store not to them, so a run's
+    replay is freed with its agents. A reference cycle would keep it until
+    the cyclic garbage collector runs, and a later training cell in the same
+    process would then run with glibc's malloc thresholds unraised and
+    refault its update rounds' temporaries every round.
+    """
+
+    def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int]):
+        if not obs_dims or len(obs_dims) != len(act_dims):
+            raise ValueError(f"need one obs and act dim per agent, got {obs_dims}/{act_dims}")
+        _check_dims(capacity, *obs_dims, *act_dims)
+        n = len(obs_dims)
+        bounds = np.cumsum([0, *obs_dims, *act_dims]).tolist()
+        cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.obs_cols, self.act_cols = cols[:n], cols[n:]
+        self.x = np.zeros((capacity, bounds[-1]))
+        self.next_x = np.zeros((capacity, bounds[-1]))
+        self.rew = np.zeros((capacity, n))
+        self.done = np.zeros((capacity, n))
+
+
+def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int]) -> list[ReplayBuffer]:
+    """One ``ReplayBuffer`` per agent over a new ``JointReplay``, in agent order."""
+    store = JointReplay(capacity, obs_dims, act_dims)
+    return [ReplayBuffer._columns(store, i) for i in range(len(obs_dims))]
 
 
 def make_index_uniform(rng: np.random.Generator, k: int, length: int) -> np.ndarray:
@@ -170,15 +261,40 @@ def gather(buffer: ReplayBuffer, indices: np.ndarray) -> BatchArrays:
     )
 
 
-def collect_joint(buffers: list[ReplayBuffer], indices: np.ndarray) -> list[BatchArrays]:
-    """Apply one index set to every agent's buffer, keeping rows time-aligned.
+def collect_joint(
+    buffers: list[ReplayBuffer],
+    indices: np.ndarray,
+    out: JointBatch | None = None,
+) -> JointBatch:
+    """Gather the joint rows at the given indices for every agent at once.
 
-    All buffers must hold the same number of records; agents insert in
-    lockstep so index k addresses the same environment step everywhere.
+    ``buffers`` must be all of one ``joint_buffers`` list, in agent order,
+    and hold the same number of records; agents insert in lockstep so index
+    k addresses the same environment step everywhere. Each store array is
+    gathered once, into ``out``'s arrays when given (and ``out`` returned),
+    else into new ones.
     """
     if not buffers:
         raise ValueError("collect_joint needs at least one buffer")
     lengths = {buf.size for buf in buffers}
     if len(lengths) != 1:
         raise ValueError(f"buffers misaligned, lengths {sorted(lengths)}")
-    return [gather(buf, indices) for buf in buffers]
+    store = buffers[0].store
+    if store is None or len(buffers) != len(store.obs_cols) or any(
+            buf.store is not store or buf.agent != i for i, buf in enumerate(buffers)):
+        raise ValueError("collect_joint needs every buffer of one JointReplay, in agent order")
+    (length,) = lengths
+    if length == 0:
+        raise ValueError("cannot gather from an empty buffer")
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= length):
+        raise IndexError(f"index outside filled range [0, {length})")
+    sources = (store.x, store.next_x, store.rew, store.done)
+    if out is None:
+        out = JointBatch(*(np.empty((indices.size, a.shape[1])) for a in sources),
+                         store.obs_cols, store.act_cols)
+    # the indices are checked above, so "clip" changes none of them; unlike
+    # the default "raise", it gathers straight into out without a buffer
+    for src, dst in zip(sources, (out.x, out.x_tp1, out.rew, out.done)):
+        np.take(src, indices, axis=0, out=dst, mode="clip")
+    return out

@@ -1,10 +1,12 @@
 """Multi-agent actor-critic trainers with centralized critics.
 
 Each agent owns four networks (actor, critic and their targets), two Adam
-states and a replay buffer. Critics see every agent's observation and
-action; actors see only their own observation. Two algorithms share the
-pipeline: a deterministic-actor variant with additive exploration noise,
-and an entropy-regularized variant with a squashed Gaussian actor.
+states and a replay buffer; the buffers are column views of one joint store
+(``replay.JointReplay``) whose rows are already critic inputs. Critics see
+every agent's observation and action; actors see only their own
+observation. Two algorithms share the pipeline: a deterministic-actor
+variant with additive exploration noise, and an entropy-regularized variant
+with a squashed Gaussian actor.
 """
 from __future__ import annotations
 
@@ -35,9 +37,11 @@ from .nn import (
 from .profiler import Phase, ProfileReport, phase_scope
 from .replay import (
     InsufficientDataError,
+    JointBatch,
     ReplayBuffer,
     Transition,
     collect_joint,
+    joint_buffers,
     make_index_uniform,
     neighbor_indices,
 )
@@ -138,8 +142,9 @@ def make_agents(
     act_dim = envs.ACT_DIM
     critic_in = n * (obs_dim + act_dim)
     out_dim = actor_out_dim(cfg)
+    buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n)
     agents = []
-    for _ in range(n):
+    for buffer in buffers:
         actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden)
         critic = init_mlp_params(critic_in, 1, rng, cfg.hidden)
         agents.append(
@@ -150,7 +155,7 @@ def make_agents(
                 target_critic=critic.copy(),
                 actor_opt=init_adam(actor, cfg.lr),
                 critic_opt=init_adam(critic, cfg.lr),
-                buffer=ReplayBuffer(cfg.buffer_capacity, obs_dim, act_dim),
+                buffer=buffer,
                 obs_dim=obs_dim,
                 act_dim=act_dim,
             )
@@ -198,12 +203,6 @@ def target_y(
     return rewards + gamma * (1.0 - dones) * target_q_next
 
 
-def _action_slot(agents: list[AgentBundle], agent_i: int) -> slice:
-    obs_total = sum(ag.obs_dim for ag in agents)
-    start = obs_total + sum(ag.act_dim for ag in agents[:agent_i])
-    return slice(start, start + agents[agent_i].act_dim)
-
-
 @dataclass
 class TargetActorUnion:
     """Every target actor's raw output over one round's distinct replay rows.
@@ -221,7 +220,7 @@ class TargetActorUnion:
 
 def target_q_calculation(
     agents: list[AgentBundle],
-    joint_batches: list,
+    batch: JointBatch,
     agent_i: int,
     cfg: TrainerConfig,
     noises: list[np.ndarray] | None = None,
@@ -232,32 +231,32 @@ def target_q_calculation(
     Every agent's next action comes from its own target actor, run here over
     that agent's next observations, or picked from ``union`` at agent_i's
     rows when the round already ran each target actor over its distinct
-    rows. For the entropy-regularized algorithm the next actions are sampled
-    with ``noises[j]`` for agent j, and the returned value is the critic
-    estimate minus alpha times the log-prob of agent_i's own next action.
+    rows. Each next action is written into its action columns of
+    ``batch.x_tp1``, which then is the target critic's input. For the
+    entropy-regularized algorithm the next actions are sampled with
+    ``noises[j]`` for agent j, and the returned value is the critic estimate
+    minus alpha times the log-prob of agent_i's own next action.
     """
     if not 0 <= agent_i < len(agents):
         raise IndexError(f"agent {agent_i} out of range")
-    next_actions = []
+    x = batch.x_tp1
     logp_i = None
     for j, ag in enumerate(agents):
         if union is None:
-            out, _ = mlp_forward(ag.target_actor, joint_batches[j].obses_tp1)
+            out, _ = mlp_forward(ag.target_actor, batch[j].obses_tp1)
         else:
             out = union.outs[j][union.picks[agent_i]]
         if cfg.algorithm == ALGO_MADDPG:
-            next_actions.append(np.tanh(out))
+            x[:, batch.act_cols[j]] = np.tanh(out)
         else:
             if noises is None:
                 raise ValueError("stochastic target actions need noise")
             a_dim = ag.act_dim
             mean, log_std = out[:, :a_dim], out[:, a_dim:]
             action, logp = squashed_gaussian_sample(mean, log_std, noises[j])
-            next_actions.append(action)
+            x[:, batch.act_cols[j]] = action
             if j == agent_i:
                 logp_i = logp
-    cols = [jb.obses_tp1 for jb in joint_batches] + next_actions
-    x = np.concatenate(cols, axis=1)
     q, _ = mlp_forward(agents[agent_i].target_critic, x)
     q = q[:, 0]
     if cfg.algorithm == ALGO_MASAC:
@@ -267,15 +266,16 @@ def target_q_calculation(
 
 def critic_loss_and_grads(
     agents: list[AgentBundle],
-    joint_batches: list,
+    batch: JointBatch,
     agent_i: int,
     y: np.ndarray,
 ):
-    """Mean squared TD error of agent_i's critic and its parameter gradients."""
-    cols = [jb.obses_t for jb in joint_batches] + [jb.actions for jb in joint_batches]
-    x = np.concatenate(cols, axis=1)
+    """Mean squared TD error of agent_i's critic and its parameter gradients.
+
+    The gathered rows ``batch.x`` are the critic input as they are.
+    """
     critic = agents[agent_i].critic
-    q, cache = mlp_forward(critic, x)
+    q, cache = mlp_forward(critic, batch.x)
     diff = q[:, 0] - y
     b = diff.shape[0]
     loss = float(np.mean(diff * diff))
@@ -286,12 +286,12 @@ def critic_loss_and_grads(
 
 def critic_update(
     agents: list[AgentBundle],
-    joint_batches: list,
+    batch: JointBatch,
     agent_i: int,
     y: np.ndarray,
 ) -> float:
     """One Adam step on agent_i's critic; aborts the run on a diverged loss."""
-    loss, grads = critic_loss_and_grads(agents, joint_batches, agent_i, y)
+    loss, grads = critic_loss_and_grads(agents, batch, agent_i, y)
     if not np.isfinite(loss):
         raise NonFiniteLossError(
             f"critic loss diverged for agent {agent_i}: loss={loss}, "
@@ -302,9 +302,31 @@ def critic_update(
     return loss
 
 
+def _policy_q(critic: MlpParams, batch: JointBatch, agent_i: int, a_i: np.ndarray):
+    """The critic's Q at the batch's rows with agent_i's actions replaced by
+    ``a_i``, and the gradient of -mean(Q) with respect to ``a_i``.
+
+    ``a_i`` is written into agent_i's action columns of ``batch.x`` for the
+    forward and backward pass and the sampled actions are put back after,
+    so the rows are not copied.
+    """
+    own = batch.act_cols[agent_i]
+    x = batch.x
+    sampled = x[:, own].copy()
+    x[:, own] = a_i
+    try:
+        q, cache = mlp_forward(critic, x)
+        b = x.shape[0]
+        _, da = mlp_backward(critic, cache, np.full((b, 1), -1.0 / b), param_grads=False,
+                             input_cols=own)
+    finally:
+        x[:, own] = sampled
+    return q[:, 0], da
+
+
 def actor_loss_and_grads(
     agents: list[AgentBundle],
-    joint_batches: list,
+    batch: JointBatch,
     agent_i: int,
     cfg: TrainerConfig,
     rng: np.random.Generator | None = None,
@@ -316,22 +338,15 @@ def actor_loss_and_grads(
     carries gradient solely via agent_i's actor output.
     """
     ag = agents[agent_i]
-    obs_i = joint_batches[agent_i].obses_t
+    obs_i = batch[agent_i].obses_t
     b = obs_i.shape[0]
     a_dim = ag.act_dim
     out, cache_a = mlp_forward(ag.actor, obs_i)
-    actions = [jb.actions for jb in joint_batches]
 
     if cfg.algorithm == ALGO_MADDPG:
         a_i = np.tanh(out)
-        actions = list(actions)
-        actions[agent_i] = a_i
-        x = np.concatenate([jb.obses_t for jb in joint_batches] + actions, axis=1)
-        q, cache_c = mlp_forward(ag.critic, x)
-        loss = float(-np.mean(q[:, 0]))
-        upstream_c = np.full((b, 1), -1.0 / b)
-        _, da = mlp_backward(ag.critic, cache_c, upstream_c, param_grads=False,
-                             input_cols=_action_slot(agents, agent_i))
+        q, da = _policy_q(ag.critic, batch, agent_i, a_i)
+        loss = float(-np.mean(q))
         dout = da * (1.0 - a_i * a_i)
         grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
         return loss, grads
@@ -351,16 +366,10 @@ def actor_loss_and_grads(
     logp = np.sum(-s - HALF_LOG_2PI - 0.5 * noise * noise, axis=1)
     logp = logp - np.sum(np.log(one_m_a2 + TANH_EPS), axis=1)
 
-    actions = list(actions)
-    actions[agent_i] = a_i
-    x = np.concatenate([jb.obses_t for jb in joint_batches] + actions, axis=1)
-    q, cache_c = mlp_forward(ag.critic, x)
+    q, da_q = _policy_q(ag.critic, batch, agent_i, a_i)
     alpha = cfg.entropy_alpha
-    loss = float(np.mean(alpha * logp - q[:, 0]))
+    loss = float(np.mean(alpha * logp - q))
 
-    upstream_c = np.full((b, 1), -1.0 / b)
-    _, da_q = mlp_backward(ag.critic, cache_c, upstream_c, param_grads=False,
-                           input_cols=_action_slot(agents, agent_i))
     da_logp = (alpha / b) * 2.0 * a_i / (one_m_a2 + TANH_EPS)
     da = da_q + da_logp
     du = da * one_m_a2
@@ -373,12 +382,12 @@ def actor_loss_and_grads(
 
 def actor_update(
     agents: list[AgentBundle],
-    joint_batches: list,
+    batch: JointBatch,
     agent_i: int,
     cfg: TrainerConfig,
     noise: np.ndarray | None = None,
 ) -> float:
-    loss, grads = actor_loss_and_grads(agents, joint_batches, agent_i, cfg, noise=noise)
+    loss, grads = actor_loss_and_grads(agents, batch, agent_i, cfg, noise=noise)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"actor loss diverged for agent {agent_i}: loss={loss}")
     ag = agents[agent_i]
@@ -486,7 +495,11 @@ def update_all_trainers(
     rng: np.random.Generator,
 ) -> list[tuple[float, float]] | None:
     """Run one update round: per agent, sample, build targets, step critic
-    then actor; finally soft-update every target network.
+    then actor; finally soft-update every target network. Agent i's sample
+    is one ``collect_joint`` gather of the joint store at its index set,
+    made into the arrays of agent 0's batch. A round so allots its batch
+    arrays once: at N=12, fresh 5 MB arrays for every agent's batch and
+    P-loss input took about 20,000 minor page faults a round.
 
     The round's random draws are made up front, inside the first sampling
     scope, in the order the per-agent steps use them (``_draw_round``), so
@@ -508,6 +521,7 @@ def update_all_trainers(
     buffers = [ag.buffer for ag in agents]
     length = buffers[0].size
     losses = []
+    batch = None
     with phase_scope(report, Phase.UPDATE_ALL_TRAINERS):
         for i in range(len(agents)):
             with phase_scope(report, Phase.MINI_BATCH_SAMPLING):
@@ -516,16 +530,16 @@ def update_all_trainers(
                         agents, cfg, rng, length, report.meta
                     )
                     union = _plan_union(agents, idx_sets, cfg.batch_size)
-                batches = collect_joint(buffers, idx_sets[i])
+                batch = collect_joint(buffers, idx_sets[i], batch)
             with phase_scope(report, Phase.TARGET_Q_CALC):
                 if i == 0 and union is not None:
                     _run_union(agents, union, cfg.batch_size)
-                q_next = target_q_calculation(agents, batches, i, cfg, target_noises[i], union)
-                y = target_y(batches[i].rewards, batches[i].dones, q_next, cfg.gamma)
+                q_next = target_q_calculation(agents, batch, i, cfg, target_noises[i], union)
+                y = target_y(batch[i].rewards, batch[i].dones, q_next, cfg.gamma)
             with phase_scope(report, Phase.Q_LOSS):
-                q_loss = critic_update(agents, batches, i, y)
+                q_loss = critic_update(agents, batch, i, y)
             with phase_scope(report, Phase.P_LOSS):
-                p_loss = actor_update(agents, batches, i, cfg, policy_noises[i])
+                p_loss = actor_update(agents, batch, i, cfg, policy_noises[i])
             losses.append((q_loss, p_loss))
         for ag in agents:
             soft_update(ag.target_actor, ag.actor, cfg.tau)

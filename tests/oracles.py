@@ -429,31 +429,161 @@ def writeback_soft_update(target: MlpParams, online: MlpParams, tau: float) -> N
 
 # ---------------------------------------------------------------------------
 # The update round trainers.py shipped before target actors ran once per
-# distinct replay row: every agent draws as it goes and runs every target
-# actor over its own batch. update_all_trainers, target_q_calculation and
-# actor_update are copied verbatim, one indent deeper. They sit inside a
-# function so that their kernel names bind to the package's in-place
-# kernels imported there, not to this module's allocating references of
-# the same names (whose soft_update and adam_step return copies).
+# distinct replay row and before replay rows were stored in the critic's
+# input layout: every agent draws as it goes, gathers each agent's five
+# arrays separately, runs every target actor over its own batch, and builds
+# each critic input with np.concatenate over the per-agent column blocks.
+# update_all_trainers, target_q_calculation, critic_loss_and_grads,
+# critic_update, actor_loss_and_grads, actor_update, _action_slot and the
+# per-buffer collect_joint are copied verbatim, one indent deeper. They sit
+# inside a function so that their kernel names bind to the package's
+# in-place kernels imported there, not to this module's allocating
+# references of the same names (whose soft_update and adam_step return
+# copies).
 # ---------------------------------------------------------------------------
 
 def per_batch_update_all_trainers():
     """Return the per-batch ``update_all_trainers``; seeded rounds through it
     and through the package must agree bit for bit."""
-    from marlbench.nn import mlp_forward, soft_update, squashed_gaussian_sample
+    from marlbench.nn import (
+        HALF_LOG_2PI,
+        mlp_backward,
+        mlp_forward,
+        soft_update,
+        squashed_gaussian_sample,
+    )
     from marlbench.profiler import Phase, phase_scope
+    from marlbench.replay import ReplayBuffer, gather
     from marlbench.trainers import (
         ALGO_MADDPG,
         ALGO_MASAC,
         NonFiniteLossError,
         _min_buffer_fill,
-        actor_loss_and_grads,
         adam_step,
-        collect_joint,
-        critic_update,
         draw_batch_indices,
         target_y,
     )
+
+    def collect_joint(buffers: list[ReplayBuffer], indices: np.ndarray) -> list:
+        """Apply one index set to every agent's buffer, keeping rows time-aligned.
+
+        All buffers must hold the same number of records; agents insert in
+        lockstep so index k addresses the same environment step everywhere.
+        """
+        if not buffers:
+            raise ValueError("collect_joint needs at least one buffer")
+        lengths = {buf.size for buf in buffers}
+        if len(lengths) != 1:
+            raise ValueError(f"buffers misaligned, lengths {sorted(lengths)}")
+        return [gather(buf, indices) for buf in buffers]
+
+    def _action_slot(agents: list[AgentBundle], agent_i: int) -> slice:
+        obs_total = sum(ag.obs_dim for ag in agents)
+        start = obs_total + sum(ag.act_dim for ag in agents[:agent_i])
+        return slice(start, start + agents[agent_i].act_dim)
+
+    def critic_loss_and_grads(
+        agents: list[AgentBundle],
+        joint_batches: list,
+        agent_i: int,
+        y: np.ndarray,
+    ):
+        """Mean squared TD error of agent_i's critic and its parameter gradients."""
+        cols = [jb.obses_t for jb in joint_batches] + [jb.actions for jb in joint_batches]
+        x = np.concatenate(cols, axis=1)
+        critic = agents[agent_i].critic
+        q, cache = mlp_forward(critic, x)
+        diff = q[:, 0] - y
+        b = diff.shape[0]
+        loss = float(np.mean(diff * diff))
+        upstream = (2.0 / b) * diff[:, None]
+        grads, _ = mlp_backward(critic, cache, upstream, input_cols=None)
+        return loss, grads
+
+    def critic_update(
+        agents: list[AgentBundle],
+        joint_batches: list,
+        agent_i: int,
+        y: np.ndarray,
+    ) -> float:
+        """One Adam step on agent_i's critic; aborts the run on a diverged loss."""
+        loss, grads = critic_loss_and_grads(agents, joint_batches, agent_i, y)
+        if not np.isfinite(loss):
+            raise NonFiniteLossError(
+                f"critic loss diverged for agent {agent_i}: loss={loss}, "
+                f"y range [{np.min(y)}, {np.max(y)}]"
+            )
+        ag = agents[agent_i]
+        adam_step(ag.critic_opt, ag.critic, grads)
+        return loss
+
+    def actor_loss_and_grads(
+        agents: list[AgentBundle],
+        joint_batches: list,
+        agent_i: int,
+        cfg: TrainerConfig,
+        rng: np.random.Generator | None = None,
+        noise: np.ndarray | None = None,
+    ):
+        """Policy loss for agent_i and gradients through its own action slot only.
+
+        Other agents' actions come from the sampled batch, so the critic input
+        carries gradient solely via agent_i's actor output.
+        """
+        ag = agents[agent_i]
+        obs_i = joint_batches[agent_i].obses_t
+        b = obs_i.shape[0]
+        a_dim = ag.act_dim
+        out, cache_a = mlp_forward(ag.actor, obs_i)
+        actions = [jb.actions for jb in joint_batches]
+
+        if cfg.algorithm == ALGO_MADDPG:
+            a_i = np.tanh(out)
+            actions = list(actions)
+            actions[agent_i] = a_i
+            x = np.concatenate([jb.obses_t for jb in joint_batches] + actions, axis=1)
+            q, cache_c = mlp_forward(ag.critic, x)
+            loss = float(-np.mean(q[:, 0]))
+            upstream_c = np.full((b, 1), -1.0 / b)
+            _, da = mlp_backward(ag.critic, cache_c, upstream_c, param_grads=False,
+                                 input_cols=_action_slot(agents, agent_i))
+            dout = da * (1.0 - a_i * a_i)
+            grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
+            return loss, grads
+
+        mean, s_raw = out[:, :a_dim], out[:, a_dim:]
+        # clamping the log-std bounds its gradient path; the mask zeroes it
+        # wherever the clamp is active
+        gate = (s_raw > LOG_STD_MIN) & (s_raw < LOG_STD_MAX)
+        s = np.clip(s_raw, LOG_STD_MIN, LOG_STD_MAX)
+        if noise is None:
+            if rng is None:
+                raise ValueError("stochastic actor update needs an rng or explicit noise")
+            noise = rng.standard_normal(mean.shape)
+        u = mean + np.exp(s) * noise
+        a_i = np.tanh(u)
+        one_m_a2 = 1.0 - a_i * a_i
+        logp = np.sum(-s - HALF_LOG_2PI - 0.5 * noise * noise, axis=1)
+        logp = logp - np.sum(np.log(one_m_a2 + TANH_EPS), axis=1)
+
+        actions = list(actions)
+        actions[agent_i] = a_i
+        x = np.concatenate([jb.obses_t for jb in joint_batches] + actions, axis=1)
+        q, cache_c = mlp_forward(ag.critic, x)
+        alpha = cfg.entropy_alpha
+        loss = float(np.mean(alpha * logp - q[:, 0]))
+
+        upstream_c = np.full((b, 1), -1.0 / b)
+        _, da_q = mlp_backward(ag.critic, cache_c, upstream_c, param_grads=False,
+                               input_cols=_action_slot(agents, agent_i))
+        da_logp = (alpha / b) * 2.0 * a_i / (one_m_a2 + TANH_EPS)
+        da = da_q + da_logp
+        du = da * one_m_a2
+        dmean = du
+        ds = (du * (u - mean) - alpha / b) * gate
+        dout = np.concatenate([dmean, ds], axis=1)
+        grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
+        return loss, grads
 
     def target_q_calculation(
         agents: list[AgentBundle],

@@ -11,6 +11,7 @@ from marlbench.replay import (
     Transition,
     collect_joint,
     gather,
+    joint_buffers,
     make_index_uniform,
     neighbor_indices,
 )
@@ -30,6 +31,28 @@ def tagged_buffer(n_records: int, capacity: int | None = None) -> ReplayBuffer:
             done=bool(i % 2),
         ))
     return buf
+
+
+def tag(agent: int, step: int) -> float:
+    return 100.0 * agent + step
+
+
+def tagged_store(n_agents: int, n_steps: int, capacity: int | None = None) -> list[ReplayBuffer]:
+    """Buffers over one joint store, written through every agent's ``add``
+    in lockstep; agent a's record of step k carries tag(a, k) in every
+    field."""
+    buffers = joint_buffers(capacity or n_steps, [2] * n_agents, [2] * n_agents)
+    for k in range(n_steps):
+        for a, buf in enumerate(buffers):
+            t = tag(a, k)
+            buf.add(Transition(
+                obs=np.array([t, t]),
+                action=np.array([t, -t]),
+                reward=t,
+                next_obs=np.array([t + 0.5, t]),
+                done=bool(k % 2),
+            ))
+    return buffers
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +315,114 @@ def test_gather_copies_not_views():
 
 
 def test_collect_joint_alignment():
-    bufs = [tagged_buffer(20) for _ in range(3)]
-    batches = collect_joint(bufs, np.array([0]))
+    buffers = tagged_store(3, 20)
+    batches = collect_joint(buffers, np.array([0]))
     assert len(batches) == 3
-    for b in batches:
+    for a, b in enumerate(batches):
         assert len(b) == 1
-        assert b.obses_t[0, 0] == 0.0
+        assert b.obses_t[0, 0] == tag(a, 0)
 
 
 def test_collect_joint_full_batch_shape():
-    bufs = [tagged_buffer(100) for _ in range(3)]
+    buffers = tagged_store(3, 100)
     idx = make_index_uniform(np.random.default_rng(0), 1024, 100)
-    batches = collect_joint(bufs, idx)
+    batches = collect_joint(buffers, idx)
     assert [len(b) for b in batches] == [1024, 1024, 1024]
+    assert batches.x.shape == batches.x_tp1.shape == (1024, 3 * (2 + 2))
     # same index set applied everywhere: rows agree across agents
-    assert np.array_equal(batches[0].rewards, batches[1].rewards)
+    assert np.array_equal(batches[1].rewards - tag(1, 0), batches[0].rewards)
+    assert np.array_equal(batches[2].rewards - tag(2, 0), batches[0].rewards)
 
 
 def test_collect_joint_misaligned_error():
-    bufs = [tagged_buffer(20), tagged_buffer(19)]
+    buffers = tagged_store(2, 20)
+    buffers[1].size -= 1
     with pytest.raises(ValueError, match="misaligned"):
-        collect_joint(bufs, np.array([0]))
+        collect_joint(buffers, np.array([0]))
+
+
+def test_collect_joint_index_and_store_errors():
+    buffers = tagged_store(3, 20, capacity=32)
+    with pytest.raises(IndexError):
+        collect_joint(buffers, np.array([0, 20]))
+    with pytest.raises(IndexError):
+        collect_joint(buffers, np.array([-1]))
+    with pytest.raises(ValueError):
+        collect_joint(joint_buffers(4, [2, 2], [2, 2]), np.array([0]))
+    # only a whole store in agent order has the critic's column layout
+    for buffers in (buffers[:2], buffers[::-1], [tagged_buffer(20)] * 3):
+        with pytest.raises(ValueError, match="JointReplay"):
+            collect_joint(buffers, np.array([0]))
+
+
+def test_joint_store_columns_hold_only_own_rows_after_wrap():
+    capacity, steps = 7, 17
+    buffers = tagged_store(3, steps, capacity)
+    store = buffers[0].store
+    latest = [max(k for k in range(steps) if k % capacity == j) for j in range(capacity)]
+    for a, buf in enumerate(buffers):
+        assert (buf.size, buf.cursor) == (capacity, steps % capacity)
+        want = np.array([tag(a, k) for k in latest])
+        assert np.array_equal(buf.obs, np.stack([want, want], axis=1))
+        assert np.array_equal(buf.act, np.stack([want, -want], axis=1))
+        assert np.array_equal(buf.rew, want)
+        assert np.array_equal(buf.next_obs, np.stack([want + 0.5, want], axis=1))
+        assert np.array_equal(buf.done, np.array([k % 2 for k in latest], dtype=float))
+        # the views are the store's columns, not copies
+        assert np.shares_memory(buf.obs, store.x) and np.shares_memory(buf.act, store.x)
+        assert np.shares_memory(buf.next_obs, store.next_x)
+    # the layout is [obs_0..obs_2 | act_0..act_2]; next_x's action columns stay zero
+    assert np.array_equal(store.x[:, :6], np.concatenate([b.obs for b in buffers], axis=1))
+    assert np.array_equal(store.x[:, 6:], np.concatenate([b.act for b in buffers], axis=1))
+    assert not store.next_x[:, 6:].any()
+
+
+def test_joint_store_is_freed_with_its_buffers():
+    # no reference cycle: the store goes with its last buffer, without
+    # waiting for the cyclic garbage collector
+    import gc
+    import weakref
+
+    buffers = joint_buffers(8, [2, 2], [2, 2])
+    store = weakref.ref(buffers[0].store)
+    gc.disable()
+    try:
+        del buffers
+        assert store() is None
+    finally:
+        gc.enable()
+
+
+def test_collect_joint_rows_equal_concatenated_gathers():
+    # oracle: the per-agent gathers of the layout before the joint store,
+    # concatenated into the critic's input columns
+    buffers = tagged_store(4, 45, capacity=16)
+    idx = make_index_uniform(np.random.default_rng(3), 64, 16)
+    batch = collect_joint(buffers, idx)
+    parts = [gather(buf, idx) for buf in buffers]
+    want_x = np.concatenate([p.obses_t for p in parts] + [p.actions for p in parts], axis=1)
+    assert batch.x.tobytes() == want_x.tobytes()
+    want_next = np.concatenate([p.obses_tp1 for p in parts], axis=1)
+    assert batch.x_tp1[:, :want_next.shape[1]].tobytes() == want_next.tobytes()
+    for got, p in zip(batch, parts):
+        for field in ("obses_t", "actions", "rewards", "obses_tp1", "dones"):
+            assert np.array_equal(getattr(got, field), getattr(p, field)), field
+
+
+def test_collect_joint_into_out_refills_the_same_arrays():
+    # an update round gathers every agent's batch into its first batch's
+    # arrays; the per-agent views must follow the new rows
+    buffers = tagged_store(3, 30)
+    first = collect_joint(buffers, np.array([1, 2, 3]))
+    arrays = (first.x, first.x_tp1, first.rew, first.done)
+    first.x_tp1[:, 6:] = 9.0  # next actions written by target-Q
+    again = collect_joint(buffers, np.array([7, 0, 29]), out=first)
+    assert again is first
+    assert all(a is b for a, b in zip(arrays, (again.x, again.x_tp1, again.rew, again.done)))
+    fresh = collect_joint(buffers, np.array([7, 0, 29]))
+    for name in ("x", "x_tp1", "rew", "done"):
+        assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+    assert [int(v) for v in again[2].obses_t[:, 0]] == [tag(2, 7), tag(2, 0), tag(2, 29)]
 
 
 def test_batch_at_full_buffer_length_both_samplers():

@@ -14,7 +14,7 @@ from marlbench.nn import (
     squashed_gaussian_sample,
 )
 from marlbench.profiler import Phase, ProfileReport
-from marlbench.replay import BatchArrays, ReplayBuffer, Transition
+from marlbench.replay import JointBatch, Transition, collect_joint, joint_buffers
 from marlbench.trainers import (
     AgentBundle,
     NonFiniteLossError,
@@ -60,33 +60,34 @@ def make_tiny_agents(n: int, obs_dim: int, act_dim: int, cfg: TrainerConfig,
     rng = np.random.default_rng(seed)
     out_dim = act_dim if cfg.algorithm == "maddpg" else 2 * act_dim
     critic_in = n * (obs_dim + act_dim)
+    buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n)
     agents = []
-    for _ in range(n):
+    for buffer in buffers:
         actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden)
         critic = init_mlp_params(critic_in, 1, rng, cfg.hidden)
         agents.append(AgentBundle(
             actor=actor, critic=critic,
             target_actor=actor.copy(), target_critic=critic.copy(),
             actor_opt=init_adam(actor, cfg.lr), critic_opt=init_adam(critic, cfg.lr),
-            buffer=ReplayBuffer(cfg.buffer_capacity, obs_dim, act_dim),
+            buffer=buffer,
             obs_dim=obs_dim, act_dim=act_dim,
         ))
     return agents
 
 
 def make_batches(n: int, b: int, obs_dim: int, act_dim: int, seed: int = 1
-                 ) -> list[BatchArrays]:
+                 ) -> JointBatch:
+    # the rows of a b-row joint store, gathered in order
     rng = np.random.default_rng(seed)
-    return [
-        BatchArrays(
-            obses_t=rng.normal(size=(b, obs_dim)),
-            actions=rng.uniform(-1, 1, size=(b, act_dim)),
-            rewards=rng.normal(size=b),
-            obses_tp1=rng.normal(size=(b, obs_dim)),
-            dones=rng.integers(0, 2, size=b).astype(np.float64),
-        )
-        for _ in range(n)
-    ]
+    buffers = joint_buffers(b, [obs_dim] * n, [act_dim] * n)
+    for buf in buffers:
+        buf.obs[...] = rng.normal(size=(b, obs_dim))
+        buf.act[...] = rng.uniform(-1, 1, size=(b, act_dim))
+        buf.rew[...] = rng.normal(size=b)
+        buf.next_obs[...] = rng.normal(size=(b, obs_dim))
+        buf.done[...] = rng.integers(0, 2, size=b).astype(np.float64)
+        buf.size = b
+    return collect_joint(buffers, np.arange(b))
 
 
 def fill_buffers(agents: list[AgentBundle], k: int, seed: int = 2) -> None:
@@ -371,6 +372,18 @@ def test_actor_masac_alpha_zero_reduces_to_q_objective():
     assert loss == pytest.approx(float(-np.mean(q[:, 0])), rel=1e-12)
 
 
+@pytest.mark.parametrize("algorithm", ["maddpg", "masac"])
+def test_actor_loss_leaves_batch_rows_unchanged(algorithm):
+    # the P-loss writes its actor's actions into the gathered rows for the
+    # critic pass and must put the sampled ones back
+    cfg = tiny_cfg(algorithm=algorithm)
+    agents = make_tiny_agents(3, 2, 2, cfg, seed=51)
+    batch = make_batches(3, 6, 2, 2, seed=52)
+    before = batch.x.copy()
+    actor_loss_and_grads(agents, batch, 1, cfg, rng=np.random.default_rng(53))
+    assert batch.x.tobytes() == before.tobytes()
+
+
 def test_actor_gradient_flows_only_through_own_action_slot():
     # zero the critic input weights on agent 1's own action columns: the
     # policy gradient must vanish even though the loss itself stays nonzero,
@@ -549,8 +562,9 @@ def _filled_agents(n: int, cfg: TrainerConfig, rows: int, seed: int) -> list[Age
     rng = np.random.default_rng(seed + 1)
     for ag in agents:
         buf = ag.buffer
+        # the same draws as rng.random(out=arr); the columns are not contiguous
         for arr in (buf.obs, buf.act, buf.rew, buf.next_obs):
-            rng.random(out=arr)
+            arr[...] = rng.random(arr.shape)
         buf.act *= 2.0
         buf.act -= 1.0
         buf.done[:] = rng.random(rows) < 0.04
@@ -609,9 +623,7 @@ def test_targets_change_only_via_soft_update():
     cfg = tiny_cfg(batch_size=8)
     agents = make_tiny_agents(2, 3, 2, cfg)
     fill_buffers(agents, 16)
-    batches = [  # direct updates, bypassing the round's soft-update step
-        bt for bt in make_batches(2, 8, 3, 2)
-    ]
+    batches = make_batches(2, 8, 3, 2)  # direct updates, bypassing the round's soft update
     t_actor = clone_params(agents[0].target_actor)
     t_critic = clone_params(agents[0].target_critic)
     y = np.zeros(8)
