@@ -154,24 +154,10 @@ def observations(state: WorldState, cfg: EnvConfig) -> np.ndarray:
     ], axis=1)
 
 
-def prey_policy(state: WorldState, prey_index: int) -> np.ndarray:
-    """Unit-magnitude force straight away from the nearest learner.
-
-    Ties go to the lowest-indexed learner; with no learners present, or a
-    learner exactly on top of the prey, the force is zero.
-    """
-    if not 0 <= prey_index < state.n_entities:
-        raise IndexError(f"entity {prey_index} out of range")
-    if state.kind[prey_index] != KIND_PREY:
-        raise ValueError(
-            f"entity {prey_index} is {KIND_NAMES[int(state.kind[prey_index])]}, not prey"
-        )
-    return _flee(state.pos[state.kind == KIND_LEARNER], state.pos[prey_index])
-
-
 def _flee(learner_pos: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """``prey_policy``'s force for a prey at ``own`` and learners at the rows
-    of ``learner_pos``."""
+    """Unit-magnitude force on a prey at ``own``, straight away from the
+    nearest learner among the rows of ``learner_pos``; ties go to the lowest
+    row. With no learners, or one exactly on the prey, the force is zero."""
     if learner_pos.shape[0] == 0:
         return np.zeros(2)
     # np.linalg.norm spelled out: over rows, then of one vector

@@ -117,10 +117,6 @@ def zeros_like_grads(params: MlpParams) -> MlpParams:
     return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
-def param_count(params: MlpParams) -> int:
-    return sum(a.size for a in params.arrays())
-
-
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -270,6 +266,31 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
         t_arr += part
 
 
+def _squash(mean: np.ndarray, log_std: np.ndarray, noise: np.ndarray) -> tuple:
+    """The clamped log-std s, the pre-squash sample u = mean + exp(s) * noise
+    and the action tanh(u)."""
+    s = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+    u = mean + np.exp(s) * noise
+    return s, u, np.tanh(u)
+
+
+def _log_prob_terms(s: np.ndarray, noise: np.ndarray, action: np.ndarray) -> tuple:
+    """Per dimension: the pre-squash Gaussian log-density, 1 - action² and the
+    tanh correction log(1 - action² + TANH_EPS). Callers sum them in their own order."""
+    one_m_a2 = 1.0 - action * action
+    return -s - HALF_LOG_2PI - 0.5 * noise * noise, one_m_a2, np.log(one_m_a2 + TANH_EPS)
+
+
+def squashed_gaussian_action(head: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``squashed_gaussian_sample(mean, log_std, noise)[0]``, bit for bit and
+    rejecting the same inputs, without the log-prob. ``head`` is a stochastic
+    actor's output, shape (2d,) or (batch, 2d): the mean, then the log-std."""
+    if not (np.isfinite(head).all() and np.isfinite(noise).all()):
+        raise FloatingPointError("non-finite input to squashed_gaussian_action")
+    d = noise.shape[-1]
+    return _squash(head[..., :d], head[..., d:], noise)[2]
+
+
 def squashed_gaussian_sample(
     mean: np.ndarray,
     log_std: np.ndarray,
@@ -300,8 +321,6 @@ def squashed_gaussian_sample(
         )
     if not (np.isfinite(mean).all() and np.isfinite(log_std).all() and np.isfinite(noise).all()):
         raise FloatingPointError("non-finite input to squashed_gaussian_sample")
-    s = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
-    action = np.tanh(mean + np.exp(s) * noise)
-    gauss = -s - HALF_LOG_2PI - 0.5 * noise * noise
-    correction = np.log(1.0 - action * action + TANH_EPS)
+    s, _, action = _squash(mean, log_std, noise)
+    gauss, _, correction = _log_prob_terms(s, noise, action)
     return action, np.add.reduce(gauss - correction, axis=-1)

@@ -20,18 +20,20 @@ import numpy as np
 
 from . import envs
 from .nn import (
-    HALF_LOG_2PI,
     LOG_STD_MAX,
     LOG_STD_MIN,
     TANH_EPS,
     AdamState,
     MlpParams,
+    _log_prob_terms,
+    _squash,
     adam_step,
     init_adam,
     init_mlp_params,
     mlp_backward,
     mlp_forward,
     soft_update,
+    squashed_gaussian_action,
     squashed_gaussian_sample,
 )
 from .profiler import Phase, ProfileReport, phase_scope
@@ -170,7 +172,9 @@ def select_action(
     rng: np.random.Generator,
     explore: bool,
 ) -> np.ndarray:
-    """Map one observation to one clamped 2D action."""
+    """Map one observation to one clamped 2D action. The stochastic actor
+    explores without forming a log-prob; a non-finite output raises
+    ``FloatingPointError``."""
     out, _ = mlp_forward(bundle.actor, obs)
     a_dim = bundle.act_dim
     if cfg.algorithm == ALGO_MADDPG:
@@ -178,11 +182,10 @@ def select_action(
         if explore:
             action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim)
         return action.clip(-1.0, 1.0, out=action)
-    mean, log_std = out[:a_dim], out[a_dim:]
     if explore:
         # tanh already lies in [-1, 1]
-        return squashed_gaussian_sample(mean, log_std, rng.standard_normal(a_dim))[0]
-    return np.tanh(mean)
+        return squashed_gaussian_action(out, rng.standard_normal(a_dim))
+    return np.tanh(out[:a_dim])
 
 
 def target_y(
@@ -235,7 +238,8 @@ def target_q_calculation(
     ``batch.x_tp1``, which then is the target critic's input. For the
     entropy-regularized algorithm the next actions are sampled with
     ``noises[j]`` for agent j, and the returned value is the critic estimate
-    minus alpha times the log-prob of agent_i's own next action.
+    minus alpha times the log-prob of agent_i's own next action, the only
+    log-prob formed.
     """
     if not 0 <= agent_i < len(agents):
         raise IndexError(f"agent {agent_i} out of range")
@@ -248,15 +252,14 @@ def target_q_calculation(
             out = union.outs[j][union.picks[agent_i]]
         if cfg.algorithm == ALGO_MADDPG:
             x[:, batch.act_cols[j]] = np.tanh(out)
-        else:
-            if noises is None:
-                raise ValueError("stochastic target actions need noise")
+        elif noises is None:
+            raise ValueError("stochastic target actions need noise")
+        elif j == agent_i:
             a_dim = ag.act_dim
-            mean, log_std = out[:, :a_dim], out[:, a_dim:]
-            action, logp = squashed_gaussian_sample(mean, log_std, noises[j])
+            action, logp_i = squashed_gaussian_sample(out[:, :a_dim], out[:, a_dim:], noises[j])
             x[:, batch.act_cols[j]] = action
-            if j == agent_i:
-                logp_i = logp
+        else:
+            x[:, batch.act_cols[j]] = squashed_gaussian_action(out, noises[j])
     q, _ = mlp_forward(agents[agent_i].target_critic, x)
     q = q[:, 0]
     if cfg.algorithm == ALGO_MASAC:
@@ -329,13 +332,13 @@ def actor_loss_and_grads(
     batch: JointBatch,
     agent_i: int,
     cfg: TrainerConfig,
-    rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
 ):
     """Policy loss for agent_i and gradients through its own action slot only.
 
     Other agents' actions come from the sampled batch, so the critic input
-    carries gradient solely via agent_i's actor output.
+    carries gradient solely via agent_i's actor output. The stochastic actor
+    reparameterizes its action with the standard-normal ``noise``.
     """
     ag = agents[agent_i]
     obs_i = batch[agent_i].obses_t
@@ -355,16 +358,11 @@ def actor_loss_and_grads(
     # clamping the log-std bounds its gradient path; the mask zeroes it
     # wherever the clamp is active
     gate = (s_raw > LOG_STD_MIN) & (s_raw < LOG_STD_MAX)
-    s = np.clip(s_raw, LOG_STD_MIN, LOG_STD_MAX)
     if noise is None:
-        if rng is None:
-            raise ValueError("stochastic actor update needs an rng or explicit noise")
-        noise = rng.standard_normal(mean.shape)
-    u = mean + np.exp(s) * noise
-    a_i = np.tanh(u)
-    one_m_a2 = 1.0 - a_i * a_i
-    logp = np.sum(-s - HALF_LOG_2PI - 0.5 * noise * noise, axis=1)
-    logp = logp - np.sum(np.log(one_m_a2 + TANH_EPS), axis=1)
+        raise ValueError("stochastic actor update needs noise")
+    s, u, a_i = _squash(mean, s_raw, noise)
+    gauss, one_m_a2, correction = _log_prob_terms(s, noise, a_i)
+    logp = np.sum(gauss, axis=1) - np.sum(correction, axis=1)
 
     q, da_q = _policy_q(ag.critic, batch, agent_i, a_i)
     alpha = cfg.entropy_alpha
@@ -373,9 +371,8 @@ def actor_loss_and_grads(
     da_logp = (alpha / b) * 2.0 * a_i / (one_m_a2 + TANH_EPS)
     da = da_q + da_logp
     du = da * one_m_a2
-    dmean = du
     ds = (du * (u - mean) - alpha / b) * gate
-    dout = np.concatenate([dmean, ds], axis=1)
+    dout = np.concatenate([du, ds], axis=1)
     grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
     return loss, grads
 
@@ -660,9 +657,6 @@ def final_window_mean(stats: list[EpisodeStats], fraction: float = 0.1) -> float
         raise ValueError("no episode stats")
     k = max(1, int(round(fraction * len(stats))))
     return float(np.mean([s.mean_episode_reward for s in stats[-k:]]))
-
-
-STATS_FIELDS = ("episode", "mean_episode_reward", "per_agent_rewards", "wall_ms")
 
 
 def stats_to_csv(stats: list[EpisodeStats]) -> str:

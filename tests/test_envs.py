@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marlbench import envs
 from marlbench.envs import (
     EnvConfig,
     TRAJECTORY_HEADER,
@@ -14,7 +15,6 @@ from marlbench.envs import (
     make_env_config,
     observation_dim,
     observations,
-    prey_policy,
     reset,
     step,
     trajectory_rows,
@@ -211,7 +211,7 @@ def test_prey_flees_single_predator_due_west():
     cfg, state, _ = fresh("predator-prey", 1)
     place(state, 0, -1.0, 0.0)   # predator west of prey
     place(state, 1, 0.0, 0.0)    # prey
-    assert prey_policy(state, 1) == pytest.approx([1.0, 0.0])
+    assert envs._flee(state.pos[:1], state.pos[1]) == pytest.approx([1.0, 0.0])
 
 
 def test_prey_tie_breaks_to_lowest_index():
@@ -220,22 +220,14 @@ def test_prey_tie_breaks_to_lowest_index():
     place(state, 1, 0.5, 0.0)
     place(state, 2, 0.0, 0.0)
     # equidistant: flees predator 0, so moves east
-    assert prey_policy(state, 2) == pytest.approx([1.0, 0.0])
+    assert envs._flee(state.pos[:2], state.pos[2]) == pytest.approx([1.0, 0.0])
 
 
 def test_prey_zero_when_coincident():
     cfg, state, _ = fresh("predator-prey", 1)
     place(state, 0, 0.3, 0.3)
     place(state, 1, 0.3, 0.3)
-    assert prey_policy(state, 1) == pytest.approx([0.0, 0.0])
-
-
-def test_prey_policy_kind_error():
-    cfg, state, _ = fresh("predator-prey", 1)
-    with pytest.raises(ValueError):
-        prey_policy(state, 0)
-    with pytest.raises(IndexError):
-        prey_policy(state, 99)
+    assert envs._flee(state.pos[:1], state.pos[1]) == pytest.approx([0.0, 0.0])
 
 
 def test_prey_moves_during_step():

@@ -16,8 +16,8 @@ from marlbench.nn import (
     init_mlp_params,
     mlp_backward,
     mlp_forward,
-    param_count,
     soft_update,
+    squashed_gaussian_action,
     squashed_gaussian_sample,
     zeros_like_grads,
 )
@@ -119,7 +119,7 @@ def test_init_bounds_and_seeding():
     assert np.max(np.abs(p.b1)) <= 1.0 / math.sqrt(4)
     assert np.max(np.abs(p.w2)) <= 1.0 / math.sqrt(64)
     assert np.max(np.abs(p.w3)) <= 1.0 / math.sqrt(64)
-    assert param_count(p) == 4 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
+    assert sum(a.size for a in p.arrays()) == 4 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +448,47 @@ def test_squashed_sample_matches_allocating_reference(seed, shape):
     assert action.tobytes() == want_action.tobytes()
     assert np.asarray(logp).tobytes() == np.asarray(want_logp).tobytes()
     assert np.shape(logp) == np.shape(want_logp)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(1,), (2,), (5,), (1, 2), (64, 2), (7, 3)]),
+)
+def test_squashed_action_matches_sample_bitwise(seed, shape):
+    # means large enough to saturate tanh, log-stds past both clamps
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(0.0, 10.0, size=shape)
+    mean.flat[0] = 100.0 * rng.choice([-1.0, 1.0])
+    log_std = rng.uniform(LOG_STD_MIN - 10.0, LOG_STD_MAX + 10.0, size=shape)
+    noise = rng.standard_normal(shape)
+    head = np.concatenate([mean, log_std], axis=-1)
+    action = squashed_gaussian_action(head, noise)
+    want, _ = squashed_gaussian_sample(mean, log_std, noise)
+    assert action.shape == want.shape
+    assert action.tobytes() == want.tobytes()
+    assert abs(action.flat[0]) == 1.0
+
+
+@pytest.mark.parametrize("slot, value", [
+    (0, np.nan), (0, np.inf), (1, -np.inf), (2, np.nan), (3, np.inf), (2, -np.inf),
+])
+def test_squashed_action_rejects_non_finite_head(slot, value):
+    # slots 0-1 are the mean, 2-3 the log-std; a clamp would hide ±inf log-std
+    head = np.zeros(4)
+    head[slot] = value
+    with pytest.raises(FloatingPointError):
+        squashed_gaussian_action(head, np.zeros(2))
+    with pytest.raises(FloatingPointError):
+        squashed_gaussian_sample(head[:2], head[2:], np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_squashed_action_rejects_non_finite_noise(value):
+    noise = np.zeros((3, 2))
+    noise[1, 0] = value
+    with pytest.raises(FloatingPointError):
+        squashed_gaussian_action(np.zeros((3, 4)), noise)
 
 
 def test_squashed_zero_noise_center_formula():

@@ -10,7 +10,6 @@ from marlbench.nn import (
     init_adam,
     init_mlp_params,
     mlp_forward,
-    param_count,
     squashed_gaussian_sample,
 )
 from marlbench.profiler import Phase, ProfileReport
@@ -161,9 +160,27 @@ def test_select_action_masac_modes():
     obs = np.array([0.2, 0.4, -0.1])
     greedy = select_action(agents[0], obs, cfg, np.random.default_rng(0), explore=False)
     out, _ = mlp_forward(agents[0].actor, obs)
-    assert greedy == pytest.approx(np.tanh(out[:2]))
+    assert np.array_equal(greedy, np.tanh(out[:2]))
     explored = select_action(agents[0], obs, cfg, np.random.default_rng(0), explore=True)
     assert np.all(np.abs(explored) <= 1.0)
+    # one standard-normal draw per action, squashed as the sampler squashes it
+    want, _ = squashed_gaussian_sample(out[:2], out[2:],
+                                       np.random.default_rng(0).standard_normal(2))
+    assert explored.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field, index, value", [
+    ("w1", (0, 0), np.nan),
+    ("b3", (0,), np.inf),
+    ("b3", (3,), -np.inf),
+])
+def test_select_action_masac_rejects_non_finite_actor_output(field, index, value):
+    cfg = tiny_cfg(algorithm="masac")
+    agents = make_tiny_agents(1, 3, 2, cfg)
+    getattr(agents[0].actor, field)[index] = value
+    with pytest.raises(FloatingPointError):
+        select_action(agents[0], np.array([0.2, 0.4, -0.1]), cfg,
+                      np.random.default_rng(0), explore=True)
 
 
 def test_actor_reads_only_local_observation():
@@ -239,6 +256,39 @@ def test_target_q_matches_unbatched_oracle():
     )
     denom = np.maximum(np.abs(want), 1e-12)
     assert np.max(np.abs(got - want) / denom) < 1e-12
+
+
+def test_target_q_masac_matches_hand_built_sample():
+    # every next action is squashed from its own noise; only agent_i's
+    # log-prob enters the value
+    cfg = tiny_cfg(algorithm="masac")
+    n, b, obs_dim, act_dim = 3, 5, 3, 2
+    agents = make_tiny_agents(n, obs_dim, act_dim, cfg, seed=7)
+    batch = make_batches(n, b, obs_dim, act_dim, seed=8)
+    rng = np.random.default_rng(9)
+    noises = [rng.standard_normal((b, act_dim)) for _ in range(n)]
+    q = target_q_calculation(agents, batch, 1, cfg, noises)
+    actions, logps = [], []
+    for j, ag in enumerate(agents):
+        out, _ = mlp_forward(ag.target_actor, batch[j].obses_tp1)
+        a, lp = squashed_gaussian_sample(out[:, :act_dim], out[:, act_dim:], noises[j])
+        actions.append(a)
+        logps.append(lp)
+    x = np.concatenate([bt.obses_tp1 for bt in batch] + actions, axis=1)
+    want, _ = mlp_forward(agents[1].target_critic, x)
+    assert np.array_equal(q, want[:, 0] - cfg.entropy_alpha * logps[1])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_target_q_masac_rejects_non_finite_other_noise(value):
+    cfg = tiny_cfg(algorithm="masac")
+    n, b = 3, 4
+    agents = make_tiny_agents(n, 3, 2, cfg)
+    batch = make_batches(n, b, 3, 2)
+    noises = [np.zeros((b, 2)) for _ in range(n)]
+    noises[2][1, 0] = value
+    with pytest.raises(FloatingPointError):
+        target_q_calculation(agents, batch, 0, cfg, noises)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +430,8 @@ def test_actor_loss_leaves_batch_rows_unchanged(algorithm):
     agents = make_tiny_agents(3, 2, 2, cfg, seed=51)
     batch = make_batches(3, 6, 2, 2, seed=52)
     before = batch.x.copy()
-    actor_loss_and_grads(agents, batch, 1, cfg, rng=np.random.default_rng(53))
+    noise = np.random.default_rng(53).standard_normal((6, 2))
+    actor_loss_and_grads(agents, batch, 1, cfg, noise=noise)
     assert batch.x.tobytes() == before.tobytes()
 
 
@@ -640,7 +691,7 @@ def test_critic_parameter_total_grows_superlinearly():
     def total_critic_params(n: int) -> int:
         env_cfg = envs.make_env_config("coop-nav", n, seed=0)
         agents = make_agents(env_cfg, cfg, np.random.default_rng(0))
-        return sum(param_count(ag.critic) for ag in agents)
+        return sum(a.size for ag in agents for a in ag.critic.arrays())
 
     p3, p6, p12 = total_critic_params(3), total_critic_params(6), total_critic_params(12)
     assert p6 > 2 * p3
@@ -773,6 +824,14 @@ def test_run_training_matches_allocating_reference_kernels(
     shipped = train("shipped")
     for name in ("mlp_forward", "mlp_backward", "squashed_gaussian_sample"):
         monkeypatch.setattr(tr, name, getattr(oracles, name))
+
+    def reference_action(head, noise):
+        d = noise.shape[-1]
+        return oracles.squashed_gaussian_sample(head[..., :d], head[..., d:], noise)[0]
+
+    # so every action the run draws, rollout and target-Q alike, goes
+    # through the allocating sampler
+    monkeypatch.setattr(tr, "squashed_gaussian_action", reference_action)
     monkeypatch.setattr(tr, "adam_step", oracles.writeback_adam_step)
     monkeypatch.setattr(tr, "soft_update", oracles.writeback_soft_update)
     reference = train("reference")
