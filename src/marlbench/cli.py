@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import re
 import sys
 import time
@@ -31,6 +32,8 @@ EXIT_RUNTIME = 2
 EXIT_ASSERT = 3
 
 SCHEMA_VERSION = 1
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 # Reference measurements from a full-scale GPU run of the same training
 # pipeline (predator-prey, 60k episodes, neighbors=3). Shown in comparison
@@ -142,6 +145,14 @@ def _cell_configs(
     return env_cfg, cfg
 
 
+def _environment() -> dict:
+    """numpy, its BLAS and the BLAS threads, which decide a seeded run's bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": {var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
+            "cpu_count": os.cpu_count()}
+
+
 def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> dict:
     """Train one (agent count, seed) cell and write its artifact set."""
     env_cfg, cfg = _cell_configs(spec, n_agents, seed)
@@ -163,6 +174,7 @@ def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> 
         "cell": {"n_agents": n_agents, "seed": seed},
         "trainer_config": asdict(cfg),
         "env_config": asdict(env_cfg),
+        "environment": _environment(),
     }
     # written last: compare takes a cell only once run.json exists
     (cell_dir / "run.json").write_text(json.dumps(run_meta, indent=2))

@@ -142,9 +142,12 @@ def _off_diagonal(n: int, n_mov: int) -> np.ndarray:
 
 
 def observations(state: WorldState, cfg: EnvConfig) -> np.ndarray:
+    return _observe(state, cfg, state.pos - state.pos[:cfg.n_learners, None])
+
+
+def _observe(state: WorldState, cfg: EnvConfig, rel: np.ndarray) -> np.ndarray:
     n = cfg.n_learners
     n_mov = _movable_count(cfg)
-    rel = state.pos - state.pos[:n, None]
     others = rel[:, :n_mov][_off_diagonal(n, n_mov)]
     return np.concatenate([
         state.vel[:n],
@@ -175,38 +178,45 @@ def compute_rewards(state: WorldState, cfg: EnvConfig) -> np.ndarray:
 
     Two entities overlap when their distance is strictly below their radius sum.
     """
+    return _rewards(state, cfg, state.pos - state.pos[:cfg.n_learners, None])
+
+
+def _rewards(state: WorldState, cfg: EnvConfig, rel: np.ndarray) -> np.ndarray:
     n = cfg.n_learners
     n_mov = _movable_count(cfg)
-    rel = state.pos - state.pos[:n, None]
     dist = np.sqrt(np.add.reduce(rel * rel, axis=2))
-    overlap = dist < state.radius[:n, None] + state.radius
+    radius = state.radius
     if cfg.scenario == SCENARIO_COOP_NAV:
         total = 0.0
         # one landmark at a time, in order, as a float sum is order-dependent
         for d in dist[:, n_mov:].min(axis=0).tolist():
             total -= d
-        pairs = overlap[:, :n]
-        np.fill_diagonal(pairs, False)
-        total -= cfg.collision_penalty * int(np.count_nonzero(pairs))
+        # coop-nav has no prey, so the movables are the learners
+        pairs = dist[:, :n] < radius[:n, None] + radius[:n]
+        total -= cfg.collision_penalty * int(np.count_nonzero(pairs[_off_diagonal(n, n)]))
         return np.full(n, total)
     if cfg.n_prey == 0:
         return np.zeros(n)
-    tags = np.count_nonzero(overlap[:, n:n_mov], axis=1)
-    nearest = dist[:, n:n_mov].min(axis=1)
+    prey = slice(n, n_mov)
+    tags = np.count_nonzero(dist[:, prey] < radius[:n, None] + radius[prey], axis=1)
+    nearest = dist[:, prey].min(axis=1)
     return cfg.tag_reward * tags - cfg.chase_shaping * nearest
 
 
 def step(
     state: WorldState,
-    actions: list[np.ndarray],
+    actions: np.ndarray | list[np.ndarray],
     cfg: EnvConfig,
 ) -> tuple[WorldState, np.ndarray, np.ndarray, bool]:
     """Advance the world one tick under the learners' joint action.
 
-    Returns the mutated state, fresh observations, per-learner rewards and
-    the time-limit done flag. An action component outside [-1, 1], ±inf
-    included, is clamped with a warning; a NaN component raises
-    ``ValueError`` naming the agent, before the state changes.
+    ``actions`` is an (n_learners, 2) array, or a list of one 2-vector per
+    learner. Returns the mutated state, fresh observations, per-learner
+    rewards and the time-limit done flag; the observations and rewards
+    share one displacement array of the new positions. An action component
+    outside [-1, 1], ±inf included, is clamped with a warning; a NaN
+    component raises ``ValueError`` naming the agent, before the state
+    changes.
     """
     n = cfg.n_learners
     if len(actions) != n:
@@ -229,11 +239,11 @@ def step(
             logger.warning("action %d outside [-1, 1], clamping: %s", i, acts[i])
         acts = acts.clip(-1.0, 1.0)
     n_mov = _movable_count(cfg)
-    accel = np.empty((n_mov, 2))
-    accel[:n] = _ACTION_GAIN * acts
-    # reset puts the learners in rows [0, n) and the prey in [n, n_mov)
-    for j in range(n, n_mov):
-        accel[j] = _flee(state.pos[:n], state.pos[j])
+    accel = _ACTION_GAIN * acts
+    if n_mov > n:
+        # reset puts the learners in rows [0, n) and the prey in [n, n_mov)
+        flee = [_flee(state.pos[:n], state.pos[j]) for j in range(n, n_mov)]
+        accel = np.concatenate([accel, flee])
 
     mov = slice(0, n_mov)
     vel = (1.0 - cfg.damping) * state.vel[mov] + accel * cfg.dt
@@ -247,9 +257,9 @@ def step(
     state.vel[n_mov:] = 0.0
     state.step_count += 1
 
-    rewards = compute_rewards(state, cfg)
+    rel = state.pos - state.pos[:n, None]
     done = state.step_count >= cfg.max_episode_length
-    return state, observations(state, cfg), rewards, done
+    return state, _observe(state, cfg, rel), _rewards(state, cfg, rel), done
 
 
 TRAJECTORY_HEADER = ["step", "entity", "kind", "x", "y", "vx", "vy", "reward"]

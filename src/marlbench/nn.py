@@ -75,7 +75,6 @@ class ForwardCache:
     a1: np.ndarray
     z2: np.ndarray
     a2: np.ndarray
-    squeeze: bool
 
 
 @dataclass
@@ -117,21 +116,20 @@ def zeros_like_grads(params: MlpParams) -> MlpParams:
     return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _checked(x: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``x`` as float64, checked to be one vector of length dim or rows of width dim."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"{what} has length {x.shape[0]}, expected {dim}")
-        return x[None, :], True
-    if x.ndim == 2:
-        if x.shape[1] != dim:
-            raise ValueError(f"{what} has width {x.shape[1]}, expected {dim}")
-        return x, False
-    raise ValueError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ValueError(f"{what} has shape {x.shape}, expected ({dim},) or (batch, {dim})")
+    return x
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one input vector or a batch of rows.
+
+    Both ranks take the one path: each layer is ``x @ w.T`` on the input as
+    given. A vector's output and cached activations have the bits of the
+    same input as a one-row batch, which ``tests/test_nn.py`` checks.
 
     Args:
         params: network weights.
@@ -141,8 +139,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         Tuple of (output, cache). Output has shape (out,) for vector input
         and (batch, out) for batched input. The cache feeds ``mlp_backward``.
     """
-    xb, squeeze = _as_batch(x, params.in_dim, "input")
-    z1 = xb @ params.w1.T
+    x = _checked(x, params.in_dim, "input")
+    z1 = x @ params.w1.T
     z1 += params.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.w2.T
@@ -150,8 +148,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     a2 = np.maximum(z2, 0.0)
     y = a2 @ params.w3.T
     y += params.b3
-    cache = ForwardCache(xb, z1, a1, z2, a2, squeeze)
-    return (y[0] if squeeze else y), cache
+    return y, ForwardCache(x, z1, a1, z2, a2)
 
 
 def mlp_backward(
@@ -180,28 +177,29 @@ def mlp_backward(
         respect to the input columns ``input_cols``, shaped like the
         forward input with only those columns kept).
     """
-    g, _ = _as_batch(upstream, params.out_dim, "upstream")
-    if g.shape[0] != cache.x.shape[0]:
-        raise ValueError(
-            f"upstream batch {g.shape[0]} does not match cached batch {cache.x.shape[0]}"
-        )
+    g = _checked(upstream, params.out_dim, "upstream").reshape(-1, params.out_dim)
+    squeeze = cache.x.ndim == 1
+    # a vector forward backpropagates as a one-row batch
+    x, z1, a1, z2, a2 = (a[None] if squeeze else a for a in vars(cache).values())
+    if g.shape[0] != x.shape[0]:
+        raise ValueError(f"upstream batch {g.shape[0]} does not match cached batch {x.shape[0]}")
     dz2 = g @ params.w3
-    dz2 *= cache.z2 > 0.0
+    dz2 *= z2 > 0.0
     dz1 = dz2 @ params.w2
-    dz1 *= cache.z1 > 0.0
+    dz1 *= z1 > 0.0
     grads = dx = None
     if param_grads:
         grads = MlpParams(
-            dz1.T @ cache.x, dz1.sum(axis=0),
-            dz2.T @ cache.a1, dz2.sum(axis=0),
-            g.T @ cache.a2, g.sum(axis=0),
+            dz1.T @ x, dz1.sum(axis=0),
+            dz2.T @ a1, dz2.sum(axis=0),
+            g.T @ a2, g.sum(axis=0),
         )
     if input_cols is not None:
         # with OpenBLAS at batch > 1, this transposed form gives a column
         # subset the same bits as those columns of the full product, so
         # seeded runs do not move; dz1 @ w1[:, cols] differs in the last bits
         dx = (params.w1[:, input_cols].T @ dz1.T).T
-        if cache.squeeze:
+        if squeeze:
             dx = dx[0]
     return grads, dx
 

@@ -26,15 +26,6 @@ class InsufficientDataError(ValueError):
 
 
 @dataclass
-class Transition:
-    obs: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_obs: np.ndarray
-    done: bool
-
-
-@dataclass
 class BatchArrays:
     """One sampled mini-batch: five aligned arrays of equal length."""
 
@@ -116,22 +107,26 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def add(self, transition: Transition) -> None:
-        obs = np.asarray(transition.obs, dtype=np.float64)
-        act = np.asarray(transition.action, dtype=np.float64)
-        next_obs = np.asarray(transition.next_obs, dtype=np.float64)
+    def add(self, obs: np.ndarray, action: np.ndarray, reward: float,
+            next_obs: np.ndarray, done: bool) -> None:
+        """Write one step's record into the next slot, field by field; the
+        rollout calls it once per agent per step. A wrong observation or
+        action shape raises ``ValueError`` before anything is written."""
+        obs = np.asarray(obs, dtype=np.float64)
+        action = np.asarray(action, dtype=np.float64)
+        next_obs = np.asarray(next_obs, dtype=np.float64)
         if obs.shape != (self.obs_dim,) or next_obs.shape != (self.obs_dim,):
             raise ValueError(
                 f"observation shape {obs.shape}/{next_obs.shape}, expected ({self.obs_dim},)"
             )
-        if act.shape != (self.act_dim,):
-            raise ValueError(f"action shape {act.shape}, expected ({self.act_dim},)")
+        if action.shape != (self.act_dim,):
+            raise ValueError(f"action shape {action.shape}, expected ({self.act_dim},)")
         i = self.cursor
         self.obs[i] = obs
-        self.act[i] = act
-        self.rew[i] = float(transition.reward)
+        self.act[i] = action
+        self.rew[i] = float(reward)
         self.next_obs[i] = next_obs
-        self.done[i] = 1.0 if transition.done else 0.0
+        self.done[i] = 1.0 if done else 0.0
         self.cursor = (i + 1) % self.capacity
         if self.size < self.capacity:
             self.size += 1

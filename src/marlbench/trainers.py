@@ -41,7 +41,6 @@ from .replay import (
     InsufficientDataError,
     JointBatch,
     ReplayBuffer,
-    Transition,
     collect_joint,
     joint_buffers,
     make_index_uniform,
@@ -169,23 +168,26 @@ def select_action(
     bundle: AgentBundle,
     obs: np.ndarray,
     cfg: TrainerConfig,
-    rng: np.random.Generator,
-    explore: bool,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
-    """Map one observation to one clamped 2D action. The stochastic actor
-    explores without forming a log-prob; a non-finite output raises
-    ``FloatingPointError``."""
+    """Map one observation to one clamped 2D action.
+
+    ``noise`` is this agent's row of the step's exploration draw, or None
+    for the greedy action. The deterministic actor adds it to its action,
+    a Gaussian draw of scale ``exploration_sigma``; the stochastic actor
+    squashes it as a standard-normal draw without forming a log-prob. A
+    non-finite stochastic output raises ``FloatingPointError``.
+    """
     out, _ = mlp_forward(bundle.actor, obs)
-    a_dim = bundle.act_dim
     if cfg.algorithm == ALGO_MADDPG:
         action = np.tanh(out)
-        if explore:
-            action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim)
+        if noise is not None:
+            action += noise
         return action.clip(-1.0, 1.0, out=action)
-    if explore:
+    if noise is not None:
         # tanh already lies in [-1, 1]
-        return squashed_gaussian_action(out, rng.standard_normal(a_dim))
-    return np.tanh(out[:a_dim])
+        return squashed_gaussian_action(out, noise)
+    return np.tanh(out[:bundle.act_dim])
 
 
 def target_y(
@@ -581,6 +583,8 @@ def run_training(
     scope_act = phase_scope(report, Phase.ACTION_SELECTION)
     scope_env = phase_scope(report, Phase.ENV_STEP)
     scope_exp = phase_scope(report, Phase.EXPERIENCE_COLLECTION)
+    maddpg = cfg.algorithm == ALGO_MADDPG
+    actions = np.empty((n, envs.ACT_DIM))
     stats: list[EpisodeStats] = []
     inserts = 0
     report.start()
@@ -591,17 +595,17 @@ def run_training(
         done = False
         while not done:
             with scope_act:
-                actions = [
-                    select_action(agents[i], obs[i], cfg, rng, explore=True)
-                    for i in range(n)
-                ]
+                # one draw per step, row i being agent i's: a Generator fills
+                # it in sequence, so it holds the bits of N per-agent draws
+                noise = (rng.normal(0.0, cfg.exploration_sigma, size=actions.shape) if maddpg
+                         else rng.standard_normal(actions.shape))
+                for i, ag in enumerate(agents):
+                    actions[i] = select_action(ag, obs[i], cfg, noise[i])
             with scope_env:
                 state, next_obs, rewards, done = envs.step(state, actions, env_cfg)
             with scope_exp:
-                for i in range(n):
-                    agents[i].buffer.add(
-                        Transition(obs[i], actions[i], float(rewards[i]), next_obs[i], done)
-                    )
+                for i, ag in enumerate(agents):
+                    ag.buffer.add(obs[i], actions[i], rewards[i], next_obs[i], done)
             inserts += 1
             ep_rewards += rewards
             obs = next_obs
@@ -623,7 +627,7 @@ def run_training(
     if checkpoint_dir is not None:
         save_checkpoint(agents, checkpoint_dir)
     if trajectory_path is not None:
-        _dump_greedy_trajectory(agents, cfg, env_cfg, env_rng, rng, trajectory_path)
+        _dump_greedy_trajectory(agents, cfg, env_cfg, env_rng, trajectory_path)
     return stats, report
 
 
@@ -632,17 +636,13 @@ def _dump_greedy_trajectory(
     cfg: TrainerConfig,
     env_cfg: envs.EnvConfig,
     env_rng: np.random.Generator,
-    rng: np.random.Generator,
     path: str | Path,
 ) -> None:
     state, obs = envs.reset(env_cfg, env_rng)
     rows = envs.trajectory_rows(state, env_cfg, None)
     done = False
     while not done:
-        actions = [
-            select_action(agents[i], obs[i], cfg, rng, explore=False)
-            for i in range(len(agents))
-        ]
+        actions = [select_action(ag, obs[i], cfg, None) for i, ag in enumerate(agents)]
         state, obs, rewards, done = envs.step(state, actions, env_cfg)
         rows.extend(envs.trajectory_rows(state, env_cfg, rewards))
     with open(path, "w", newline="") as fh:

@@ -9,6 +9,8 @@ two is meaningful evidence.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,9 +20,7 @@ from marlbench.nn import (
     LOG_STD_MIN,
     TANH_EPS,
     AdamState,
-    ForwardCache,
     MlpParams,
-    _as_batch,
 )
 
 
@@ -252,8 +252,34 @@ def naive_adam_single(param: float, grad: float, lr: float, beta1: float,
 # verbatim. A seeded run through these and through the package must agree
 # bit for bit. The two optimizer copies return fresh objects; the
 # writeback_* wrappers copy their results into the arguments, the calling
-# convention the package uses now.
+# convention the package uses now. ``_as_batch`` and ``ForwardCache`` are
+# copied from the nn.py that promoted a vector input to a one-row batch.
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ForwardCache:
+    """Intermediate activations saved by the forward pass for backprop."""
+
+    x: np.ndarray
+    z1: np.ndarray
+    a1: np.ndarray
+    z2: np.ndarray
+    a2: np.ndarray
+    squeeze: bool
+
+
+def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        if x.shape[0] != dim:
+            raise ValueError(f"{what} has length {x.shape[0]}, expected {dim}")
+        return x[None, :], True
+    if x.ndim == 2:
+        if x.shape[1] != dim:
+            raise ValueError(f"{what} has width {x.shape[1]}, expected {dim}")
+        return x, False
+    raise ValueError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
+
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one input vector or a batch of rows.
@@ -676,3 +702,182 @@ def per_batch_update_all_trainers():
         return losses
 
     return update_all_trainers
+
+
+# ---------------------------------------------------------------------------
+# The rollout step trainers.py and envs.py shipped before a step drew its
+# exploration noise once: every agent draws inside select_action, step
+# builds the displacement array twice (once for the rewards, once for the
+# observations), and each record is written field by field, as
+# ReplayBuffer.add wrote a Transition. select_action, compute_rewards,
+# observations and step are copied verbatim, one indent deeper; the actor
+# forward is this module's vector-promoting mlp_forward. The loop is
+# run_training's without its profiler scopes.
+# ---------------------------------------------------------------------------
+
+def per_agent_rollout() -> SimpleNamespace:
+    """Return the per-agent rollout's ``select_action``, ``step`` and the
+    other copies, and ``train(cfg, env_cfg)``, which trains as run_training
+    did and returns the agents and each episode's per-agent rewards. Seeded
+    runs through these and through the package must agree bit for bit."""
+    from marlbench import envs
+    from marlbench.envs import (
+        _ACTION_GAIN,
+        ACT_DIM,
+        _flee,
+        _movable_count,
+        _off_diagonal,
+    )
+    from marlbench.nn import squashed_gaussian_action
+    from marlbench.profiler import ProfileReport
+    from marlbench.trainers import ALGO_MADDPG, make_agents, update_all_trainers
+
+    logger = envs.logger
+
+    def select_action(bundle, obs, cfg, rng, explore):
+        """Map one observation to one clamped 2D action. The stochastic actor
+        explores without forming a log-prob; a non-finite output raises
+        ``FloatingPointError``."""
+        out, _ = mlp_forward(bundle.actor, obs)
+        a_dim = bundle.act_dim
+        if cfg.algorithm == ALGO_MADDPG:
+            action = np.tanh(out)
+            if explore:
+                action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim)
+            return action.clip(-1.0, 1.0, out=action)
+        if explore:
+            # tanh already lies in [-1, 1]
+            return squashed_gaussian_action(out, rng.standard_normal(a_dim))
+        return np.tanh(out[:a_dim])
+
+    def observations(state, cfg):
+        n = cfg.n_learners
+        n_mov = _movable_count(cfg)
+        rel = state.pos - state.pos[:n, None]
+        others = rel[:, :n_mov][_off_diagonal(n, n_mov)]
+        return np.concatenate([
+            state.vel[:n],
+            state.pos[:n],
+            rel[:, n_mov:].reshape(n, 2 * cfg.n_landmarks),
+            others.reshape(n, 2 * (n_mov - 1)),
+        ], axis=1)
+
+    def compute_rewards(state, cfg):
+        """Per-learner rewards evaluated on the post-integration state.
+
+        Two entities overlap when their distance is strictly below their radius sum.
+        """
+        n = cfg.n_learners
+        n_mov = _movable_count(cfg)
+        rel = state.pos - state.pos[:n, None]
+        dist = np.sqrt(np.add.reduce(rel * rel, axis=2))
+        overlap = dist < state.radius[:n, None] + state.radius
+        if cfg.scenario == SCENARIO_COOP_NAV:
+            total = 0.0
+            # one landmark at a time, in order, as a float sum is order-dependent
+            for d in dist[:, n_mov:].min(axis=0).tolist():
+                total -= d
+            pairs = overlap[:, :n]
+            np.fill_diagonal(pairs, False)
+            total -= cfg.collision_penalty * int(np.count_nonzero(pairs))
+            return np.full(n, total)
+        if cfg.n_prey == 0:
+            return np.zeros(n)
+        tags = np.count_nonzero(overlap[:, n:n_mov], axis=1)
+        nearest = dist[:, n:n_mov].min(axis=1)
+        return cfg.tag_reward * tags - cfg.chase_shaping * nearest
+
+    def step(state, actions, cfg):
+        """Advance the world one tick under the learners' joint action.
+
+        Returns the mutated state, fresh observations, per-learner rewards and
+        the time-limit done flag. An action component outside [-1, 1], ±inf
+        included, is clamped with a warning; a NaN component raises
+        ``ValueError`` naming the agent, before the state changes.
+        """
+        n = cfg.n_learners
+        if len(actions) != n:
+            raise ValueError(f"got {len(actions)} actions for {n} learners")
+        try:
+            acts = np.asarray(actions, dtype=np.float64)
+        except ValueError:  # ragged or not numbers: the loop below raises
+            acts = None
+        if acts is None or acts.shape != (n, ACT_DIM):
+            for i, a in enumerate(actions):
+                a = np.asarray(a, dtype=np.float64)
+                if a.shape != (ACT_DIM,):
+                    raise ValueError(f"action {i} has shape {a.shape}, expected ({ACT_DIM},)")
+        # one guard for the in-range case; NaN fails it too
+        if not np.abs(acts).max() <= 1.0:
+            nan_rows = np.flatnonzero(np.isnan(acts).any(axis=1))
+            if nan_rows.size:
+                raise ValueError(f"action {nan_rows[0]} holds NaN: {acts[nan_rows[0]]}")
+            for i in np.flatnonzero((np.abs(acts) > 1.0).any(axis=1)):
+                logger.warning("action %d outside [-1, 1], clamping: %s", i, acts[i])
+            acts = acts.clip(-1.0, 1.0)
+        n_mov = _movable_count(cfg)
+        accel = np.empty((n_mov, 2))
+        accel[:n] = _ACTION_GAIN * acts
+        # reset puts the learners in rows [0, n) and the prey in [n, n_mov)
+        for j in range(n, n_mov):
+            accel[j] = _flee(state.pos[:n], state.pos[j])
+
+        mov = slice(0, n_mov)
+        vel = (1.0 - cfg.damping) * state.vel[mov] + accel * cfg.dt
+        # np.linalg.norm(vel, axis=1), spelled out
+        speeds = np.sqrt(np.add.reduce(vel * vel, axis=1))
+        over = speeds > cfg.max_speed
+        if over.any():
+            vel[over] *= (cfg.max_speed / speeds[over])[:, None]
+        state.vel[mov] = vel
+        state.pos[mov] += vel * cfg.dt
+        state.vel[n_mov:] = 0.0
+        state.step_count += 1
+
+        rewards = compute_rewards(state, cfg)
+        done = state.step_count >= cfg.max_episode_length
+        return state, observations(state, cfg), rewards, done
+
+    def add(buf, obs, action, reward, next_obs, done):
+        # ReplayBuffer.add's writes, from the Transition's fields
+        i = buf.cursor
+        buf.obs[i] = obs
+        buf.act[i] = action
+        buf.rew[i] = float(reward)
+        buf.next_obs[i] = next_obs
+        buf.done[i] = 1.0 if done else 0.0
+        buf.cursor = (i + 1) % buf.capacity
+        if buf.size < buf.capacity:
+            buf.size += 1
+
+    def train(cfg, env_cfg):
+        rng = np.random.default_rng(cfg.seed)
+        env_rng = np.random.default_rng(env_cfg.seed)
+        agents = make_agents(env_cfg, cfg, rng)
+        n = len(agents)
+        report = ProfileReport(meta={"neighbor_fallbacks": 0})
+        episode_rewards = []
+        inserts = 0
+        for _ in range(cfg.episodes):
+            state, obs = envs.reset(env_cfg, env_rng)
+            ep_rewards = np.zeros(n)
+            done = False
+            while not done:
+                actions = [
+                    select_action(agents[i], obs[i], cfg, rng, explore=True)
+                    for i in range(n)
+                ]
+                state, next_obs, rewards, done = step(state, actions, env_cfg)
+                for i in range(n):
+                    add(agents[i].buffer, obs[i], actions[i], float(rewards[i]),
+                        next_obs[i], done)
+                inserts += 1
+                ep_rewards += rewards
+                obs = next_obs
+                if inserts % cfg.update_every == 0:
+                    update_all_trainers(agents, cfg, report, rng)
+            episode_rewards.append([float(r) for r in ep_rewards])
+        return agents, episode_rewards
+
+    return SimpleNamespace(select_action=select_action, observations=observations,
+                           compute_rewards=compute_rewards, step=step, train=train)

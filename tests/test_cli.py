@@ -1,10 +1,14 @@
 """Tests for the benchmark command line driver."""
 
 import json
+import os
 import shutil
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from marlbench import envs, trainers
 from marlbench.cli import (
     EXIT_ASSERT,
     EXIT_OK,
@@ -49,6 +53,30 @@ def test_train_writes_cell_artifacts(tmp_path):
     assert run["cell"] == {"n_agents": 2, "seed": 0}
     profile = json.loads((cell / "profile.json").read_text())
     assert {p["name"] for p in profile["phases"]} >= {"ActionSelection", "EnvStep"}
+
+
+def test_run_json_records_the_environment(tmp_path, monkeypatch):
+    # numpy, its BLAS and the BLAS thread count decide a seeded run's bits;
+    # the configs stay exactly the dataclasses, which perfbench compares
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "sweep"
+    assert main(train_args(out)) == EXIT_OK
+    run = json.loads((out / "n2_seed0" / "run.json").read_text())
+    env = run["environment"]
+    assert set(env) == {"numpy", "blas", "blas_threads", "cpu_count"}
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS", "BLIS_NUM_THREADS"}
+    assert env["blas_threads"]["OMP_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] == "unset"
+    assert env["cpu_count"] == os.cpu_count()
+    cfg = trainers.TrainerConfig(episodes=3, batch_size=8, update_every=20,
+                                 buffer_capacity=200, seed=0)
+    assert run["trainer_config"] == asdict(cfg)
+    assert run["env_config"] == asdict(envs.make_env_config("coop-nav", 2, seed=0))
 
 
 def test_train_sweep_cell_grid(tmp_path):

@@ -20,7 +20,7 @@ from marlbench.envs import (
     trajectory_rows,
     validate_env_config,
 )
-from oracles import naive_compute_rewards, naive_observations
+from oracles import naive_compute_rewards, naive_observations, per_agent_rollout
 
 
 def fresh(scenario: str, n: int, seed: int = 0, **over):
@@ -352,6 +352,34 @@ def test_observations_and_rewards_match_loop_oracle(scenario, n, n_prey, seed, l
         assert np.array_equal(rew, naive_compute_rewards(state, cfg))
         if k < steps:
             _, obs, rew, _ = step(state, list(rng.uniform(-1.2, 1.2, (n, 2))), cfg)
+
+
+@pytest.mark.parametrize("scenario, n", [("coop-nav", 12), ("coop-nav", 3), ("predator-prey", 3)])
+def test_step_matches_two_displacement_oracle(scenario, n):
+    # step shares one displacement array between rewards and observations;
+    # the oracle copy builds it twice. Random actions, some past the clamp
+    ref = per_agent_rollout()
+    rng = np.random.default_rng(n)
+    for episode in range(8):
+        cfg, state, _ = fresh(scenario, n, seed=episode)
+        twin = envs.WorldState(state.pos.copy(), state.vel.copy(), state.radius.copy(),
+                               state.kind.copy(), state.step_count)
+        # a dense layout makes collisions and tags happen
+        state.pos *= 0.2
+        twin.pos *= 0.2
+        done = False
+        while not done:
+            actions = rng.uniform(-1.2, 1.2, size=(n, 2))
+            got = step(state, actions, cfg)
+            want = ref.step(twin, list(actions), cfg)
+            for a, b in zip(got[1:3], want[1:3]):
+                assert a.tobytes() == b.tobytes()
+            assert got[3] == want[3]
+            assert state.pos.tobytes() == twin.pos.tobytes()
+            assert state.vel.tobytes() == twin.vel.tobytes()
+            done = got[3]
+        assert observations(state, cfg).tobytes() == ref.observations(twin, cfg).tobytes()
+        assert compute_rewards(state, cfg).tobytes() == ref.compute_rewards(twin, cfg).tobytes()
 
 
 # ---------------------------------------------------------------------------

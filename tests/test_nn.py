@@ -122,6 +122,42 @@ def test_init_bounds_and_seeding():
     assert sum(a.size for a in p.arrays()) == 4 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    dims=st.sampled_from([(10, 4), (14, 2), (14, 4), (26, 2), (50, 2), (50, 4), (3, 1)]),
+    hidden=st.sampled_from([1, 8, 64]),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_vector_forward_and_backward_are_row_zero_of_a_one_row_batch(dims, hidden, seed, scale):
+    # the vector path runs x @ w.T on the vector as given; its output,
+    # cached activations and gradients must have the bits of the same
+    # input as a one-row batch
+    n_in, n_out = dims
+    rng = np.random.default_rng(seed)
+    p = init_mlp_params(n_in, n_out, rng, hidden=hidden)
+    x = scale * rng.normal(size=n_in)
+    upstream = rng.normal(size=n_out)
+    y, cache = mlp_forward(p, x)
+    yb, cache_b = mlp_forward(p, x[None])
+    assert y.shape == (n_out,) and yb.shape == (1, n_out)
+    assert y.tobytes() == yb[0].tobytes()
+    for f in ("x", "z1", "a1", "z2", "a2"):
+        assert getattr(cache, f).tobytes() == getattr(cache_b, f)[0].tobytes(), f
+    grads, dx = mlp_backward(p, cache, upstream)
+    grads_b, dx_b = mlp_backward(p, cache_b, upstream[None])
+    assert dx.shape == (n_in,) and dx.tobytes() == dx_b[0].tobytes()
+    for f in PARAM_FIELDS:
+        assert getattr(grads, f).tobytes() == getattr(grads_b, f).tobytes(), f
+
+
+def test_forward_rejects_inputs_of_other_ranks():
+    p = zero_params(3, 4, 1)
+    for x in (np.zeros(()), np.zeros((1, 1, 3)), np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            mlp_forward(p, x)
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

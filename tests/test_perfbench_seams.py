@@ -41,6 +41,11 @@ def test_traced_tiny_run_summarizes(scenario, algorithm):
     steps = cfg.episodes * env_cfg.max_episode_length
     assert rounds >= 1
     assert counts["replay.add"] == n * steps
+    # one actor forward on a 1-D observation per agent per step
+    assert counts["trainers.select_action"] == n * steps
+    assert counts["nn.mlp_forward.b1"] == n * steps
+    assert counts["envs.step"] == steps
+    assert counts["envs.reset"] == cfg.episodes
     assert counts["replay.collect_joint"] == n * rounds
     # each collect_joint yields n per-agent batches of obs, action, reward,
     # next obs and done

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from marlbench.replay import (
     InsufficientDataError,
     ReplayBuffer,
-    Transition,
     collect_joint,
     gather,
     joint_buffers,
@@ -23,13 +22,13 @@ def tagged_buffer(n_records: int, capacity: int | None = None) -> ReplayBuffer:
     """Buffer whose record at index i carries tag i in every field."""
     buf = ReplayBuffer(capacity or n_records, obs_dim=2, act_dim=2)
     for i in range(n_records):
-        buf.add(Transition(
+        buf.add(
             obs=np.array([i, i], dtype=np.float64),
             action=np.array([i, -i], dtype=np.float64),
             reward=float(i),
             next_obs=np.array([i + 0.5, i], dtype=np.float64),
             done=bool(i % 2),
-        ))
+        )
     return buf
 
 
@@ -45,13 +44,13 @@ def tagged_store(n_agents: int, n_steps: int, capacity: int | None = None) -> li
     for k in range(n_steps):
         for a, buf in enumerate(buffers):
             t = tag(a, k)
-            buf.add(Transition(
+            buf.add(
                 obs=np.array([t, t]),
                 action=np.array([t, -t]),
                 reward=t,
                 next_obs=np.array([t + 0.5, t]),
                 done=bool(k % 2),
-            ))
+            )
     return buffers
 
 
@@ -62,8 +61,7 @@ def tagged_store(n_agents: int, n_steps: int, capacity: int | None = None) -> li
 def test_ring_overwrite_keeps_slot_order():
     buf = ReplayBuffer(3, obs_dim=1, act_dim=1)
     for tag in (1, 2, 3, 4):
-        buf.add(Transition(np.array([float(tag)]), np.array([0.0]), 0.0,
-                           np.array([0.0]), False))
+        buf.add(np.array([float(tag)]), np.array([0.0]), 0.0, np.array([0.0]), False)
     assert buf.size == 3
     assert [int(buf.obs[i, 0]) for i in range(3)] == [4, 2, 3]
     assert buf.cursor == 1
@@ -71,16 +69,16 @@ def test_ring_overwrite_keeps_slot_order():
 
 def test_single_insert_len_one():
     buf = ReplayBuffer(8, obs_dim=1, act_dim=1)
-    buf.add(Transition(np.array([1.0]), np.array([0.0]), 0.5, np.array([2.0]), True))
+    buf.add(np.array([1.0]), np.array([0.0]), 0.5, np.array([2.0]), True)
     assert len(buf) == 1
 
 
 def test_capacity_ceiling():
     cap = 1000
     buf = ReplayBuffer(cap, obs_dim=1, act_dim=1)
-    t = Transition(np.array([0.0]), np.array([0.0]), 0.0, np.array([0.0]), False)
+    record = (np.array([0.0]), np.array([0.0]), 0.0, np.array([0.0]), False)
     for _ in range(cap + 1):
-        buf.add(t)
+        buf.add(*record)
     assert buf.size == cap
     assert buf.cursor == 1
 
@@ -88,9 +86,13 @@ def test_capacity_ceiling():
 def test_add_rejects_shape_drift():
     buf = ReplayBuffer(4, obs_dim=2, act_dim=2)
     with pytest.raises(ValueError):
-        buf.add(Transition(np.zeros(3), np.zeros(2), 0.0, np.zeros(2), False))
+        buf.add(np.zeros(3), np.zeros(2), 0.0, np.zeros(2), False)
     with pytest.raises(ValueError):
-        buf.add(Transition(np.zeros(2), np.zeros(1), 0.0, np.zeros(2), False))
+        buf.add(np.zeros(2), np.zeros(1), 0.0, np.zeros(2), False)
+    with pytest.raises(ValueError):
+        buf.add(np.zeros(2), np.zeros(2), 0.0, np.zeros(3), False)
+    # a rejected record writes nothing
+    assert (buf.size, buf.cursor) == (0, 0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -98,8 +100,7 @@ def test_add_rejects_shape_drift():
 def test_ring_invariants_property(capacity, n_inserts):
     buf = ReplayBuffer(capacity, obs_dim=1, act_dim=1)
     for k in range(n_inserts):
-        buf.add(Transition(np.array([float(k)]), np.array([0.0]), 0.0,
-                           np.array([0.0]), False))
+        buf.add(np.array([float(k)]), np.array([0.0]), 0.0, np.array([0.0]), False)
     assert buf.size == min(n_inserts, capacity)
     assert buf.cursor == n_inserts % capacity
     if n_inserts >= capacity:

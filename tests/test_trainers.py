@@ -13,7 +13,7 @@ from marlbench.nn import (
     squashed_gaussian_sample,
 )
 from marlbench.profiler import Phase, ProfileReport
-from marlbench.replay import JointBatch, Transition, collect_joint, joint_buffers
+from marlbench.replay import JointBatch, collect_joint, joint_buffers
 from marlbench.trainers import (
     AgentBundle,
     NonFiniteLossError,
@@ -93,13 +93,13 @@ def fill_buffers(agents: list[AgentBundle], k: int, seed: int = 2) -> None:
     rng = np.random.default_rng(seed)
     for step in range(k):
         for ag in agents:
-            ag.buffer.add(Transition(
+            ag.buffer.add(
                 obs=rng.normal(size=ag.obs_dim),
                 action=rng.uniform(-1, 1, size=ag.act_dim),
                 reward=float(rng.normal()),
                 next_obs=rng.normal(size=ag.obs_dim),
                 done=bool(step % 25 == 24),
-            ))
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,7 @@ def test_select_action_zero_actor_no_explore():
     cfg = tiny_cfg()
     agents = make_tiny_agents(1, 3, 2, cfg)
     agents[0].actor = zeroed(agents[0].actor)
-    a = select_action(agents[0], np.array([1.0, -1.0, 0.5]), cfg,
-                      np.random.default_rng(0), explore=False)
+    a = select_action(agents[0], np.array([1.0, -1.0, 0.5]), cfg, None)
     assert a == pytest.approx([0.0, 0.0])
 
 
@@ -140,9 +139,13 @@ def test_select_action_deterministic_without_noise():
     cfg = tiny_cfg()
     agents = make_tiny_agents(1, 3, 2, cfg)
     obs = np.array([0.2, 0.4, -0.1])
-    a1 = select_action(agents[0], obs, cfg, np.random.default_rng(0), explore=False)
-    a2 = select_action(agents[0], obs, cfg, np.random.default_rng(99), explore=False)
+    a1 = select_action(agents[0], obs, cfg, None)
+    a2 = select_action(agents[0], obs, cfg, None)
     assert np.array_equal(a1, a2)
+    # the exploring action is the greedy one plus its noise row, clamped
+    noise = np.array([0.05, -2.0])
+    explored = select_action(agents[0], obs, cfg, noise)
+    assert explored.tobytes() == np.clip(a1 + noise, -1.0, 1.0).tobytes()
 
 
 def test_select_action_explore_stays_clamped():
@@ -150,7 +153,8 @@ def test_select_action_explore_stays_clamped():
     agents = make_tiny_agents(1, 3, 2, cfg)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        a = select_action(agents[0], rng.normal(size=3), cfg, rng, explore=True)
+        noise = rng.normal(0.0, cfg.exploration_sigma, size=2)
+        a = select_action(agents[0], rng.normal(size=3), cfg, noise)
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
 
@@ -158,10 +162,10 @@ def test_select_action_masac_modes():
     cfg = tiny_cfg(algorithm="masac")
     agents = make_tiny_agents(1, 3, 2, cfg)
     obs = np.array([0.2, 0.4, -0.1])
-    greedy = select_action(agents[0], obs, cfg, np.random.default_rng(0), explore=False)
+    greedy = select_action(agents[0], obs, cfg, None)
     out, _ = mlp_forward(agents[0].actor, obs)
     assert np.array_equal(greedy, np.tanh(out[:2]))
-    explored = select_action(agents[0], obs, cfg, np.random.default_rng(0), explore=True)
+    explored = select_action(agents[0], obs, cfg, np.random.default_rng(0).standard_normal(2))
     assert np.all(np.abs(explored) <= 1.0)
     # one standard-normal draw per action, squashed as the sampler squashes it
     want, _ = squashed_gaussian_sample(out[:2], out[2:],
@@ -179,8 +183,7 @@ def test_select_action_masac_rejects_non_finite_actor_output(field, index, value
     agents = make_tiny_agents(1, 3, 2, cfg)
     getattr(agents[0].actor, field)[index] = value
     with pytest.raises(FloatingPointError):
-        select_action(agents[0], np.array([0.2, 0.4, -0.1]), cfg,
-                      np.random.default_rng(0), explore=True)
+        select_action(agents[0], np.array([0.2, 0.4, -0.1]), cfg, np.zeros(2))
 
 
 def test_actor_reads_only_local_observation():
@@ -737,11 +740,11 @@ def test_run_training_one_episode_buffer_lengths():
     done = False
     rng = np.random.default_rng(0)
     while not done:
-        actions = [select_action(agents[i], obs[i], cfg2, rng, True) for i in range(3)]
+        noise = rng.normal(0.0, cfg2.exploration_sigma, size=(3, 2))
+        actions = [select_action(agents[i], obs[i], cfg2, noise[i]) for i in range(3)]
         state, next_obs, rew, done = envs.step(state, actions, env_cfg)
         for i in range(3):
-            agents[i].buffer.add(Transition(obs[i], actions[i], float(rew[i]),
-                                            next_obs[i], done))
+            agents[i].buffer.add(obs[i], actions[i], rew[i], next_obs[i], done)
         obs = next_obs
     assert all(len(ag.buffer) == 25 for ag in agents)
 
@@ -841,6 +844,36 @@ def test_run_training_matches_allocating_reference_kernels(
     assert shipped[1].keys() == reference[1].keys()
     for key, arr in shipped[1].items():
         assert arr.tobytes() == reference[1][key].tobytes(), key
+
+
+@pytest.mark.parametrize("scenario, n, algorithm", [
+    (scenario, n, algorithm)
+    for scenario, n in (("coop-nav", 3), ("coop-nav", 12), ("predator-prey", 3))
+    for algorithm in ("maddpg", "masac")
+])
+def test_run_training_matches_per_agent_rollout_oracle(monkeypatch, scenario, n, algorithm):
+    # one noise draw per step, one displacement array per env step and
+    # field-wise adds must leave every stored row and episode reward as the
+    # per-agent rollout in tests/oracles.py makes them, update rounds included
+    import marlbench.trainers as tr
+    import oracles
+
+    cfg = tiny_cfg(algorithm=algorithm, episodes=5, batch_size=16, update_every=20,
+                   buffer_capacity=90, seed=6)
+    env_cfg = envs.make_env_config(scenario, n, seed=7)
+    agents, rewards = oracles.per_agent_rollout().train(cfg, env_cfg)
+    made = []
+    real_make = tr.make_agents
+    monkeypatch.setattr(tr, "make_agents", lambda *args: made.append(real_make(*args)) or made[0])
+    stats, report = run_training(cfg, env_cfg)
+
+    # 125 steps into 90 rows: the ring wraps
+    assert report.meta["update_rounds"] == 6
+    got, want = made[0][0].buffer.store, agents[0].buffer.store
+    for name in ("x", "next_x", "rew", "done"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    got_rewards = np.array([s.per_agent_rewards for s in stats])
+    assert got_rewards.tobytes() == np.array(rewards).tobytes()
 
 
 def test_run_training_masac_smoke():
