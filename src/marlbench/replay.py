@@ -2,11 +2,12 @@
 
 The agents of one run share a ``JointReplay``: every step is stored as one
 row in the centralized critic's input layout,
-``[obs_0..obs_{N-1} | act_0..act_{N-1}]``, plus a next-observation row of
-the same width. Each agent's ``ReplayBuffer`` is a set of column views into
-that store, so rows are still written once per agent per step, and a joint
-batch is one row gather per store array whose rows are already critic
-inputs. A ``ReplayBuffer`` built on its own keeps five contiguous arrays.
+``[obs_0..obs_{N-1} | act_0..act_{N-1}]``, and each observation is stored
+once: a row's next observation is the following row's observation. Each
+agent's ``ReplayBuffer`` is a set of column views into that store, so rows
+are still written once per agent per step, and a joint batch is a row
+gather per store array whose rows are already critic inputs. A
+``ReplayBuffer`` built on its own keeps five contiguous arrays.
 
 Two index strategies are provided: independent uniform draws, and windowed
 neighbor sampling that expands a handful of anchor indices into contiguous
@@ -44,7 +45,8 @@ class JointBatch:
 
     ``x`` is the critic input at the sampled steps; ``x_tp1`` holds the
     next observations in the same layout, its action columns free for the
-    next actions; ``rew`` and ``done`` hold one column per agent.
+    next actions (until target-Q writes them they hold the following
+    steps' sampled actions); ``rew`` and ``done`` hold one column per agent.
     ``obs_cols[i]`` and ``act_cols[i]`` are agent i's column slices.
     Indexing or iterating yields each agent's ``BatchArrays``, made of views
     into these arrays, so they follow the arrays when ``collect_joint``
@@ -74,13 +76,17 @@ class ReplayBuffer:
 
     Once full, each insert overwrites the oldest slot. Insertion order is
     therefore also (wrapped) memory order, which neighbor sampling relies on.
-    Built on its own, the buffer owns five C-contiguous arrays; built by
+    Built on its own, the buffer owns five C-contiguous arrays. Built by
     ``joint_buffers`` as agent ``agent``'s part of a ``JointReplay``
-    (``store`` set), they are column views of the store's arrays.
+    (``store`` set), ``obs``, ``act``, ``rew`` and ``done`` are column views
+    of the store's arrays, ``pending`` is its columns of the store's pending
+    row, and ``next_obs`` is None: a step's next observation is the
+    following row's ``obs``.
     """
 
     store: JointReplay | None = None
     agent = 0
+    pending: np.ndarray | None = None
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         _check_dims(capacity, obs_dim, act_dim)
@@ -93,8 +99,8 @@ class ReplayBuffer:
         buf = cls.__new__(cls)
         buf.store, buf.agent = store, i
         obs, act = store.obs_cols[i], store.act_cols[i]
-        buf._bind(store.x[:, obs], store.x[:, act], store.rew[:, i],
-                  store.next_x[:, obs], store.done[:, i])
+        buf._bind(store.x[:, obs], store.x[:, act], store.rew[:, i], None, store.done[:, i])
+        buf.pending = store.pending[obs]
         return buf
 
     def _bind(self, obs, act, rew, next_obs, done) -> None:
@@ -111,7 +117,17 @@ class ReplayBuffer:
             next_obs: np.ndarray, done: bool) -> None:
         """Write one step's record into the next slot, field by field; the
         rollout calls it once per agent per step. A wrong observation or
-        action shape raises ``ValueError`` before anything is written."""
+        action shape raises ``ValueError`` before anything is written.
+
+        A joint buffer keeps ``next_obs`` in its pending columns until the
+        next step's ``obs`` takes its place, so after a non-terminal step an
+        ``obs`` that differs from it byte for byte raises ``ValueError``
+        before anything is written. A terminal row's next observation
+        becomes the next episode's first; any finite one will do, since
+        ``target_y`` zeroes it while every ``done`` is the time limit.
+        Bootstrapping on time limits, or non-consecutive adds, would break
+        that.
+        """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         next_obs = np.asarray(next_obs, dtype=np.float64)
@@ -122,10 +138,22 @@ class ReplayBuffer:
         if action.shape != (self.act_dim,):
             raise ValueError(f"action shape {action.shape}, expected ({self.act_dim},)")
         i = self.cursor
+        pending = self.pending
+        # tobytes equality costs a fraction of np.array_equal on one row,
+        # and only an episode's first step reads the previous done
+        if (pending is not None and self.size and obs.tobytes() != pending.tobytes()
+                and not self.done[i - 1]):
+            raise ValueError(
+                f"agent {self.agent}: obs differs from the previous step's next observation, "
+                "and a joint buffer stores each observation once"
+            )
         self.obs[i] = obs
         self.act[i] = action
         self.rew[i] = float(reward)
-        self.next_obs[i] = next_obs
+        if pending is None:
+            self.next_obs[i] = next_obs
+        else:
+            pending[...] = next_obs
         self.done[i] = 1.0 if done else 0.0
         self.cursor = (i + 1) % self.capacity
         if self.size < self.capacity:
@@ -142,11 +170,20 @@ def _check_dims(capacity: int, *dims: int) -> None:
 class JointReplay:
     """One replay store for N agents, each row in the critic's input layout.
 
-    ``x`` holds ``[obs_0..obs_{N-1} | act_0..act_{N-1}]`` per step and
-    ``next_x`` the next observations in the same columns. ``next_x``'s
-    action columns stay zero in the store: a gathered copy of them is where
-    target-Q writes the next actions. ``rew`` and ``done`` hold one column
-    per agent. Only this class knows the column layout.
+    ``x`` holds ``[obs_0..obs_{N-1} | act_0..act_{N-1}]`` per step; ``rew``
+    and ``done`` hold one column per agent. Only this class knows the column
+    layout.
+
+    Each observation is stored once. The next observation of row k is the
+    observation columns of row ``(k + 1) % capacity``, except at the newest
+    row, whose successor is not written yet: its next observation waits in
+    ``pending``, one row of the same layout. ``collect_joint`` and
+    ``next_observations`` read them so. A terminal row's next observation
+    thus becomes the next episode's first. Any finite one will do, since
+    every ``done`` is the time limit and ``target_y`` multiplies a terminal
+    row's next value by zero. Bootstrapping on time limits, or adds that are
+    not consecutive steps (``ReplayBuffer.add`` refuses them), would break
+    that.
 
     The buffers refer to the store and the store not to them, so a run's
     replay is freed with its agents. A reference cycle would keep it until
@@ -164,7 +201,7 @@ class JointReplay:
         cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.obs_cols, self.act_cols = cols[:n], cols[n:]
         self.x = np.zeros((capacity, bounds[-1]))
-        self.next_x = np.zeros((capacity, bounds[-1]))
+        self.pending = np.zeros(bounds[-1])
         self.rew = np.zeros((capacity, n))
         self.done = np.zeros((capacity, n))
 
@@ -241,7 +278,10 @@ def neighbor_indices(anchors: np.ndarray, length: int, n: int, b: int) -> np.nda
 
 
 def gather(buffer: ReplayBuffer, indices: np.ndarray) -> BatchArrays:
-    """Copy the records at the given indices out of the buffer."""
+    """Copy the records at the given indices out of a standalone buffer."""
+    if buffer.store is not None:
+        raise ValueError("a joint buffer keeps no next observations of its own; "
+                         "gather its batches with collect_joint")
     if buffer.size == 0:
         raise ValueError("cannot gather from an empty buffer")
     indices = np.asarray(indices, dtype=np.int64)
@@ -256,6 +296,24 @@ def gather(buffer: ReplayBuffer, indices: np.ndarray) -> BatchArrays:
     )
 
 
+def _successor_rows(buffer: ReplayBuffer, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The store row after each of a joint buffer's ``indices``,
+    ``(k + 1) % capacity``, and a mask of the indices at the newest row,
+    whose next observation is the store's pending row instead."""
+    succ = indices + 1
+    succ[succ == buffer.capacity] = 0
+    return succ, indices == (buffer.cursor - 1) % buffer.capacity
+
+
+def next_observations(buffer: ReplayBuffer, indices: np.ndarray) -> np.ndarray:
+    """A joint buffer's next observations at its rows ``indices``, as one
+    new C-contiguous array."""
+    succ, newest = _successor_rows(buffer, indices)
+    x = buffer.obs[succ]
+    x[newest] = buffer.pending
+    return x
+
+
 def collect_joint(
     buffers: list[ReplayBuffer],
     indices: np.ndarray,
@@ -265,9 +323,10 @@ def collect_joint(
 
     ``buffers`` must be all of one ``joint_buffers`` list, in agent order,
     and hold the same number of records; agents insert in lockstep so index
-    k addresses the same environment step everywhere. Each store array is
-    gathered once, into ``out``'s arrays when given (and ``out`` returned),
-    else into new ones.
+    k addresses the same environment step everywhere. ``x``, ``rew`` and
+    ``done`` are gathered at the indices and ``x_tp1`` at their successor
+    rows, patched from the pending row, into ``out``'s
+    arrays when given (and ``out`` returned), else into new ones.
     """
     if not buffers:
         raise ValueError("collect_joint needs at least one buffer")
@@ -284,12 +343,16 @@ def collect_joint(
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= length):
         raise IndexError(f"index outside filled range [0, {length})")
-    sources = (store.x, store.next_x, store.rew, store.done)
     if out is None:
-        out = JointBatch(*(np.empty((indices.size, a.shape[1])) for a in sources),
+        out = JointBatch(*(np.empty((indices.size, a.shape[1]))
+                           for a in (store.x, store.x, store.rew, store.done)),
                          store.obs_cols, store.act_cols)
-    # the indices are checked above, so "clip" changes none of them; unlike
-    # the default "raise", it gathers straight into out without a buffer
-    for src, dst in zip(sources, (out.x, out.x_tp1, out.rew, out.done)):
-        np.take(src, indices, axis=0, out=dst, mode="clip")
+    succ, newest = _successor_rows(buffers[0], indices)
+    # the indices are checked above and their successors lie in the store,
+    # so "clip" changes none of them; unlike the default "raise", it
+    # gathers straight into out without a buffer
+    for src, rows, dst in ((store.x, indices, out.x), (store.x, succ, out.x_tp1),
+                           (store.rew, indices, out.rew), (store.done, indices, out.done)):
+        np.take(src, rows, axis=0, out=dst, mode="clip")
+    out.x_tp1[newest] = store.pending
     return out

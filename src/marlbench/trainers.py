@@ -45,6 +45,7 @@ from .replay import (
     joint_buffers,
     make_index_uniform,
     neighbor_indices,
+    next_observations,
 )
 
 logger = logging.getLogger(__name__)
@@ -196,7 +197,13 @@ def target_y(
     target_q_next: np.ndarray,
     gamma: float,
 ) -> np.ndarray:
-    """Bootstrap targets r + gamma * (1 - done) * q_next."""
+    """Bootstrap targets r + gamma * (1 - done) * q_next.
+
+    A terminal row's q_next is multiplied by zero, so any finite next
+    observation gives the same target; the joint replay serves the next
+    episode's first one (``replay.JointReplay``). Bootstrapping on time
+    limits, or replay rows that are not consecutive steps, would break it.
+    """
     rewards = np.asarray(rewards, dtype=np.float64)
     dones = np.asarray(dones, dtype=np.float64)
     target_q_next = np.asarray(target_q_next, dtype=np.float64)
@@ -475,14 +482,15 @@ def _plan_union(
 
 
 def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int) -> None:
-    """Run each target actor over ``union.rows`` in blocks of exactly b rows.
+    """Run each target actor over the next observations of ``union.rows``
+    in blocks of exactly b rows.
 
     A row's output bits do not depend on its position within a forward,
     but with OpenBLAS they can depend on the forward's row count, so every
     forward keeps the batch's b rows and the last block is padded.
     """
     for ag, out in zip(agents, union.outs):
-        x = ag.buffer.next_obs[union.rows]
+        x = next_observations(ag.buffer, union.rows)
         for k in range(0, x.shape[0], b):
             out[k:k + b] = mlp_forward(ag.target_actor, x[k:k + b])[0]
 

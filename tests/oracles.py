@@ -461,7 +461,10 @@ def writeback_soft_update(target: MlpParams, online: MlpParams, tau: float) -> N
 # each critic input with np.concatenate over the per-agent column blocks.
 # update_all_trainers, target_q_calculation, critic_loss_and_grads,
 # critic_update, actor_loss_and_grads, actor_update, _action_slot and the
-# per-buffer collect_joint are copied verbatim, one indent deeper. They sit
+# per-buffer collect_joint are copied verbatim, one indent deeper. The
+# per-agent gather reads a joint buffer's next observations as the store
+# keeps them today: row k's is row k + 1's observation, and the newest
+# row's is the store's pending row. They sit
 # inside a function so that their kernel names bind to the package's
 # in-place kernels imported there, not to this module's allocating
 # references of the same names (whose soft_update and adam_step return
@@ -479,7 +482,7 @@ def per_batch_update_all_trainers():
         squashed_gaussian_sample,
     )
     from marlbench.profiler import Phase, phase_scope
-    from marlbench.replay import ReplayBuffer, gather
+    from marlbench.replay import BatchArrays, ReplayBuffer
     from marlbench.trainers import (
         ALGO_MADDPG,
         ALGO_MASAC,
@@ -489,6 +492,12 @@ def per_batch_update_all_trainers():
         draw_batch_indices,
         target_y,
     )
+
+    def gather(buf: ReplayBuffer, indices: np.ndarray) -> BatchArrays:
+        next_obs = buf.obs[(indices + 1) % buf.capacity]
+        next_obs[indices == (buf.cursor - 1) % buf.capacity] = buf.pending
+        return BatchArrays(buf.obs[indices], buf.act[indices], buf.rew[indices],
+                           next_obs, buf.done[indices])
 
     def collect_joint(buffers: list[ReplayBuffer], indices: np.ndarray) -> list:
         """Apply one index set to every agent's buffer, keeping rows time-aligned.
@@ -709,7 +718,8 @@ def per_batch_update_all_trainers():
 # exploration noise once: every agent draws inside select_action, step
 # builds the displacement array twice (once for the rewards, once for the
 # observations), and each record is written field by field, as
-# ReplayBuffer.add wrote a Transition. select_action, compute_rewards,
+# ReplayBuffer.add wrote a Transition (the next observation into the joint
+# store's pending row, where add keeps it). select_action, compute_rewards,
 # observations and step are copied verbatim, one indent deeper; the actor
 # forward is this module's vector-promoting mlp_forward. The loop is
 # run_training's without its profiler scopes.
@@ -844,7 +854,7 @@ def per_agent_rollout() -> SimpleNamespace:
         buf.obs[i] = obs
         buf.act[i] = action
         buf.rew[i] = float(reward)
-        buf.next_obs[i] = next_obs
+        buf.pending[:] = next_obs
         buf.done[i] = 1.0 if done else 0.0
         buf.cursor = (i + 1) % buf.capacity
         if buf.size < buf.capacity:
@@ -881,3 +891,174 @@ def per_agent_rollout() -> SimpleNamespace:
 
     return SimpleNamespace(select_action=select_action, observations=observations,
                            compute_rewards=compute_rewards, step=step, train=train)
+
+
+# ---------------------------------------------------------------------------
+# The joint replay trainers.py shipped before each observation was stored
+# once: JointReplay keeps a second array, next_x, with every step's next
+# observations in x's columns, each agent's ReplayBuffer.add writes them
+# there, collect_joint gathers x_tp1 from it, and _run_union reads each
+# target actor's input from it. ReplayBuffer, JointReplay, joint_buffers,
+# collect_joint and _run_union are copied verbatim, one indent deeper,
+# inside a function so that _run_union's mlp_forward binds to the package's
+# kernel, not to this module's allocating copy.
+# ---------------------------------------------------------------------------
+
+def two_array_replay() -> SimpleNamespace:
+    """Return the two-array layout's ``joint_buffers``, ``collect_joint``
+    and ``_run_union`` (and its ``ReplayBuffer`` and ``JointReplay``).
+    Patched into ``marlbench.trainers``, a seeded run trains through them
+    as it did before; it must agree with the package bit for bit."""
+    from marlbench.nn import mlp_forward
+    from marlbench.replay import JointBatch, _check_dims
+    from marlbench.trainers import AgentBundle, TargetActorUnion
+
+    class ReplayBuffer:
+        """Fixed-capacity ring buffer over five parallel arrays.
+
+        Once full, each insert overwrites the oldest slot. Insertion order is
+        therefore also (wrapped) memory order, which neighbor sampling relies on.
+        Built on its own, the buffer owns five C-contiguous arrays; built by
+        ``joint_buffers`` as agent ``agent``'s part of a ``JointReplay``
+        (``store`` set), they are column views of the store's arrays.
+        """
+
+        store: JointReplay | None = None
+        agent = 0
+
+        def __init__(self, capacity: int, obs_dim: int, act_dim: int):
+            _check_dims(capacity, obs_dim, act_dim)
+            self._bind(np.zeros((capacity, obs_dim)), np.zeros((capacity, act_dim)),
+                       np.zeros(capacity), np.zeros((capacity, obs_dim)), np.zeros(capacity))
+
+        @classmethod
+        def _columns(cls, store: JointReplay, i: int) -> ReplayBuffer:
+            """Agent i's columns of ``store``."""
+            buf = cls.__new__(cls)
+            buf.store, buf.agent = store, i
+            obs, act = store.obs_cols[i], store.act_cols[i]
+            buf._bind(store.x[:, obs], store.x[:, act], store.rew[:, i],
+                      store.next_x[:, obs], store.done[:, i])
+            return buf
+
+        def _bind(self, obs, act, rew, next_obs, done) -> None:
+            self.capacity, self.obs_dim = obs.shape
+            self.act_dim = act.shape[1]
+            self.obs, self.act, self.rew, self.next_obs, self.done = obs, act, rew, next_obs, done
+            self.size = 0
+            self.cursor = 0
+
+        def __len__(self) -> int:
+            return self.size
+
+        def add(self, obs: np.ndarray, action: np.ndarray, reward: float,
+                next_obs: np.ndarray, done: bool) -> None:
+            """Write one step's record into the next slot, field by field; the
+            rollout calls it once per agent per step. A wrong observation or
+            action shape raises ``ValueError`` before anything is written."""
+            obs = np.asarray(obs, dtype=np.float64)
+            action = np.asarray(action, dtype=np.float64)
+            next_obs = np.asarray(next_obs, dtype=np.float64)
+            if obs.shape != (self.obs_dim,) or next_obs.shape != (self.obs_dim,):
+                raise ValueError(
+                    f"observation shape {obs.shape}/{next_obs.shape}, expected ({self.obs_dim},)"
+                )
+            if action.shape != (self.act_dim,):
+                raise ValueError(f"action shape {action.shape}, expected ({self.act_dim},)")
+            i = self.cursor
+            self.obs[i] = obs
+            self.act[i] = action
+            self.rew[i] = float(reward)
+            self.next_obs[i] = next_obs
+            self.done[i] = 1.0 if done else 0.0
+            self.cursor = (i + 1) % self.capacity
+            if self.size < self.capacity:
+                self.size += 1
+
+    class JointReplay:
+        """One replay store for N agents, each row in the critic's input layout.
+
+        ``x`` holds ``[obs_0..obs_{N-1} | act_0..act_{N-1}]`` per step and
+        ``next_x`` the next observations in the same columns. ``next_x``'s
+        action columns stay zero in the store: a gathered copy of them is where
+        target-Q writes the next actions. ``rew`` and ``done`` hold one column
+        per agent. Only this class knows the column layout.
+
+        The buffers refer to the store and the store not to them, so a run's
+        replay is freed with its agents. A reference cycle would keep it until
+        the cyclic garbage collector runs, and a later training cell in the same
+        process would then run with glibc's malloc thresholds unraised and
+        refault its update rounds' temporaries every round.
+        """
+
+        def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int]):
+            if not obs_dims or len(obs_dims) != len(act_dims):
+                raise ValueError(f"need one obs and act dim per agent, got {obs_dims}/{act_dims}")
+            _check_dims(capacity, *obs_dims, *act_dims)
+            n = len(obs_dims)
+            bounds = np.cumsum([0, *obs_dims, *act_dims]).tolist()
+            cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+            self.obs_cols, self.act_cols = cols[:n], cols[n:]
+            self.x = np.zeros((capacity, bounds[-1]))
+            self.next_x = np.zeros((capacity, bounds[-1]))
+            self.rew = np.zeros((capacity, n))
+            self.done = np.zeros((capacity, n))
+
+    def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int]) -> list[ReplayBuffer]:
+        """One ``ReplayBuffer`` per agent over a new ``JointReplay``, in agent order."""
+        store = JointReplay(capacity, obs_dims, act_dims)
+        return [ReplayBuffer._columns(store, i) for i in range(len(obs_dims))]
+
+    def collect_joint(
+        buffers: list[ReplayBuffer],
+        indices: np.ndarray,
+        out: JointBatch | None = None,
+    ) -> JointBatch:
+        """Gather the joint rows at the given indices for every agent at once.
+
+        ``buffers`` must be all of one ``joint_buffers`` list, in agent order,
+        and hold the same number of records; agents insert in lockstep so index
+        k addresses the same environment step everywhere. Each store array is
+        gathered once, into ``out``'s arrays when given (and ``out`` returned),
+        else into new ones.
+        """
+        if not buffers:
+            raise ValueError("collect_joint needs at least one buffer")
+        lengths = {buf.size for buf in buffers}
+        if len(lengths) != 1:
+            raise ValueError(f"buffers misaligned, lengths {sorted(lengths)}")
+        store = buffers[0].store
+        if store is None or len(buffers) != len(store.obs_cols) or any(
+                buf.store is not store or buf.agent != i for i, buf in enumerate(buffers)):
+            raise ValueError("collect_joint needs every buffer of one JointReplay, in agent order")
+        (length,) = lengths
+        if length == 0:
+            raise ValueError("cannot gather from an empty buffer")
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (indices.min() < 0 or indices.max() >= length):
+            raise IndexError(f"index outside filled range [0, {length})")
+        sources = (store.x, store.next_x, store.rew, store.done)
+        if out is None:
+            out = JointBatch(*(np.empty((indices.size, a.shape[1])) for a in sources),
+                             store.obs_cols, store.act_cols)
+        # the indices are checked above, so "clip" changes none of them; unlike
+        # the default "raise", it gathers straight into out without a buffer
+        for src, dst in zip(sources, (out.x, out.x_tp1, out.rew, out.done)):
+            np.take(src, indices, axis=0, out=dst, mode="clip")
+        return out
+
+    def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int) -> None:
+        """Run each target actor over ``union.rows`` in blocks of exactly b rows.
+
+        A row's output bits do not depend on its position within a forward,
+        but with OpenBLAS they can depend on the forward's row count, so every
+        forward keeps the batch's b rows and the last block is padded.
+        """
+        for ag, out in zip(agents, union.outs):
+            x = ag.buffer.next_obs[union.rows]
+            for k in range(0, x.shape[0], b):
+                out[k:k + b] = mlp_forward(ag.target_actor, x[k:k + b])[0]
+
+    return SimpleNamespace(ReplayBuffer=ReplayBuffer, JointReplay=JointReplay,
+                           joint_buffers=joint_buffers, collect_joint=collect_joint,
+                           _run_union=_run_union)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marlbench import envs
 from marlbench.replay import (
     InsufficientDataError,
     ReplayBuffer,
@@ -15,7 +16,7 @@ from marlbench.replay import (
     neighbor_indices,
 )
 from marlbench.trainers import ANCHOR_SLACK
-from oracles import windowed_indices_transcription
+from oracles import two_array_replay, windowed_indices_transcription
 
 
 def tagged_buffer(n_records: int, capacity: int | None = None) -> ReplayBuffer:
@@ -36,11 +37,13 @@ def tag(agent: int, step: int) -> float:
     return 100.0 * agent + step
 
 
-def tagged_store(n_agents: int, n_steps: int, capacity: int | None = None) -> list[ReplayBuffer]:
-    """Buffers over one joint store, written through every agent's ``add``
-    in lockstep; agent a's record of step k carries tag(a, k) in every
-    field."""
-    buffers = joint_buffers(capacity or n_steps, [2] * n_agents, [2] * n_agents)
+def tagged_store(n_agents: int, n_steps: int, capacity: int | None = None,
+                 make=joint_buffers) -> list[ReplayBuffer]:
+    """Buffers over one joint store (``make``'s), written through every
+    agent's ``add`` in lockstep with consecutive steps; agent a's record of
+    step k carries tag(a, k) in every field, and its next observation is
+    step k + 1's."""
+    buffers = make(capacity or n_steps, [2] * n_agents, [2] * n_agents)
     for k in range(n_steps):
         for a, buf in enumerate(buffers):
             t = tag(a, k)
@@ -48,7 +51,7 @@ def tagged_store(n_agents: int, n_steps: int, capacity: int | None = None) -> li
                 obs=np.array([t, t]),
                 action=np.array([t, -t]),
                 reward=t,
-                next_obs=np.array([t + 0.5, t]),
+                next_obs=np.array([t + 1, t + 1]),
                 done=bool(k % 2),
             )
     return buffers
@@ -361,21 +364,119 @@ def test_joint_store_columns_hold_only_own_rows_after_wrap():
     buffers = tagged_store(3, steps, capacity)
     store = buffers[0].store
     latest = [max(k for k in range(steps) if k % capacity == j) for j in range(capacity)]
+    next_obs = collect_joint(buffers, np.arange(capacity)).x_tp1
     for a, buf in enumerate(buffers):
         assert (buf.size, buf.cursor) == (capacity, steps % capacity)
         want = np.array([tag(a, k) for k in latest])
         assert np.array_equal(buf.obs, np.stack([want, want], axis=1))
         assert np.array_equal(buf.act, np.stack([want, -want], axis=1))
         assert np.array_equal(buf.rew, want)
-        assert np.array_equal(buf.next_obs, np.stack([want + 0.5, want], axis=1))
+        # each row's next observation is the following step's, the newest
+        # row's (step 16, slot 2) served from the pending row
+        assert np.array_equal(next_obs[:, 2 * a:2 * a + 2], np.stack([want + 1, want + 1], axis=1))
+        assert np.array_equal(buf.pending, [tag(a, steps), tag(a, steps)])
         assert np.array_equal(buf.done, np.array([k % 2 for k in latest], dtype=float))
         # the views are the store's columns, not copies
         assert np.shares_memory(buf.obs, store.x) and np.shares_memory(buf.act, store.x)
-        assert np.shares_memory(buf.next_obs, store.next_x)
-    # the layout is [obs_0..obs_2 | act_0..act_2]; next_x's action columns stay zero
+        assert np.shares_memory(buf.pending, store.pending) and buf.next_obs is None
+    # the layout is [obs_0..obs_2 | act_0..act_2], each observation stored once
     assert np.array_equal(store.x[:, :6], np.concatenate([b.obs for b in buffers], axis=1))
     assert np.array_equal(store.x[:, 6:], np.concatenate([b.act for b in buffers], axis=1))
-    assert not store.next_x[:, 6:].any()
+    assert not hasattr(store, "next_x")
+
+
+def test_joint_replay_n12_stores_each_observation_once():
+    # coop-nav N=12 at the default capacity: x (624 columns), rew and done
+    # (12 each) and one pending row; a second observation array would add
+    # 476 MiB. np.zeros touches no pages, so this costs no memory.
+    from marlbench.replay import JointReplay
+    from marlbench.trainers import TrainerConfig
+
+    n = 12
+    obs_dim = envs.observation_dim(envs.make_env_config("coop-nav", n, seed=0))
+    capacity = TrainerConfig().buffer_capacity
+    store = JointReplay(capacity, [obs_dim] * n, [envs.ACT_DIM] * n)
+    width = n * (obs_dim + envs.ACT_DIM)
+    assert width == 624
+    arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == capacity * (width + 2 * n) * 8 + width * 8
+
+
+def _rollout_into(stores, steps: int, seed: int) -> None:
+    """Add ``steps`` consecutive coop-nav N=3 steps of random actions to
+    every list of buffers in ``stores``, the same steps to each."""
+    env_cfg = envs.make_env_config("coop-nav", 3, seed=seed)
+    env_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    state, obs = envs.reset(env_cfg, env_rng)
+    for _ in range(steps):
+        actions = rng.uniform(-1, 1, size=(3, envs.ACT_DIM))
+        state, next_obs, rewards, done = envs.step(state, actions, env_cfg)
+        for buffers in stores:
+            for i, buf in enumerate(buffers):
+                buf.add(obs[i], actions[i], rewards[i], next_obs[i], done)
+        obs = next_obs
+        if done:
+            state, obs = envs.reset(env_cfg, env_rng)
+
+
+@pytest.mark.parametrize("capacity, steps", [(60, 43), (40, 107), (25, 88)])
+def test_collect_joint_next_observations_match_two_array_layout(capacity, steps):
+    # every non-terminal row's gathered next observation is the one the
+    # two-array layout stores, the newest row's (served from the pending
+    # row) included, before and after the ring wraps; a terminal row's is
+    # the next episode's first observation
+    old = two_array_replay()
+    obs_dim = envs.observation_dim(envs.make_env_config("coop-nav", 3, seed=0))
+    dims = ([obs_dim] * 3, [envs.ACT_DIM] * 3)
+    new_bufs, old_bufs = joint_buffers(capacity, *dims), old.joint_buffers(capacity, *dims)
+    _rollout_into([new_bufs, old_bufs], steps, seed=capacity)
+    size = min(steps, capacity)
+    idx = np.random.default_rng(steps).permutation(np.repeat(np.arange(size), 2))
+    got, want = collect_joint(new_bufs, idx), old.collect_joint(old_bufs, idx)
+    for name in ("x", "rew", "done"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    obs = slice(0, 3 * obs_dim)
+    live = got.done[:, 0] == 0.0
+    newest = (steps - 1) % capacity
+    assert steps % 25 and live[idx == newest].all()
+    assert got.x_tp1[live, obs].tobytes() == want.x_tp1[live, obs].tobytes()
+    terminal = ~live
+    assert terminal.any() == (steps >= 25)
+    following = new_bufs[0].store.x[(idx[terminal] + 1) % capacity, obs]
+    assert np.array_equal(got.x_tp1[terminal, obs], following)
+    # per agent, the same views
+    for a, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g.obses_tp1[live], w.obses_tp1[live]), a
+
+
+def test_add_refuses_a_non_consecutive_step():
+    buffers = joint_buffers(4, [2, 2], [2, 2])
+    buf = buffers[0]
+    store = buf.store
+    buf.add(np.array([1.0, 2.0]), np.zeros(2), 0.0, np.array([3.0, 4.0]), False)
+    before = [a.copy() for a in (store.x, store.pending, store.rew, store.done)]
+    for obs in ([3.0, 4.5], [-0.0, 4.0], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="next observation"):
+            buf.add(np.array(obs), np.ones(2), 1.0, np.array([5.0, 6.0]), False)
+    # a refused step writes nothing
+    assert (buf.size, buf.cursor) == (1, 1)
+    after = (store.x, store.pending, store.rew, store.done)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    # the pending next observation continues it; after a terminal step a new
+    # episode may start anywhere, and a standalone buffer takes any steps
+    buf.add(np.array([3.0, 4.0]), np.ones(2), 1.0, np.array([5.0, 6.0]), True)
+    buf.add(np.array([9.0, 9.0]), np.ones(2), 1.0, np.array([5.0, 6.0]), False)
+    assert buf.size == 3
+    alone = ReplayBuffer(4, obs_dim=2, act_dim=2)
+    alone.add(np.array([1.0, 2.0]), np.zeros(2), 0.0, np.array([3.0, 4.0]), False)
+    alone.add(np.array([7.0, 7.0]), np.zeros(2), 0.0, np.array([3.0, 4.0]), False)
+    assert alone.size == 2
+
+
+def test_gather_refuses_joint_buffers():
+    buffers = tagged_store(2, 5)
+    with pytest.raises(ValueError, match="collect_joint"):
+        gather(buffers[0], np.array([0]))
 
 
 def test_joint_store_is_freed_with_its_buffers():
@@ -394,20 +495,20 @@ def test_joint_store_is_freed_with_its_buffers():
         gc.enable()
 
 
-def test_collect_joint_rows_equal_concatenated_gathers():
-    # oracle: the per-agent gathers of the layout before the joint store,
-    # concatenated into the critic's input columns
+def test_collect_joint_rows_equal_two_array_layout():
+    # oracle: the same consecutive steps in the two-array layout's store,
+    # gathered by its collect_joint
+    old = two_array_replay()
     buffers = tagged_store(4, 45, capacity=16)
+    old_buffers = tagged_store(4, 45, capacity=16, make=old.joint_buffers)
     idx = make_index_uniform(np.random.default_rng(3), 64, 16)
     batch = collect_joint(buffers, idx)
-    parts = [gather(buf, idx) for buf in buffers]
-    want_x = np.concatenate([p.obses_t for p in parts] + [p.actions for p in parts], axis=1)
-    assert batch.x.tobytes() == want_x.tobytes()
-    want_next = np.concatenate([p.obses_tp1 for p in parts], axis=1)
-    assert batch.x_tp1[:, :want_next.shape[1]].tobytes() == want_next.tobytes()
-    for got, p in zip(batch, parts):
+    want = old.collect_joint(old_buffers, idx)
+    assert batch.x.tobytes() == want.x.tobytes()
+    assert batch.x_tp1[:, :8].tobytes() == want.x_tp1[:, :8].tobytes()
+    for got, w in zip(batch, want):
         for field in ("obses_t", "actions", "rewards", "obses_tp1", "dones"):
-            assert np.array_equal(getattr(got, field), getattr(p, field)), field
+            assert np.array_equal(getattr(got, field), getattr(w, field)), field
 
 
 def test_collect_joint_into_out_refills_the_same_arrays():

@@ -76,30 +76,36 @@ def make_tiny_agents(n: int, obs_dim: int, act_dim: int, cfg: TrainerConfig,
 
 def make_batches(n: int, b: int, obs_dim: int, act_dim: int, seed: int = 1
                  ) -> JointBatch:
-    # the rows of a b-row joint store, gathered in order
+    # b consecutive steps written into a b-row joint store, gathered in order
     rng = np.random.default_rng(seed)
     buffers = joint_buffers(b, [obs_dim] * n, [act_dim] * n)
-    for buf in buffers:
-        buf.obs[...] = rng.normal(size=(b, obs_dim))
-        buf.act[...] = rng.uniform(-1, 1, size=(b, act_dim))
-        buf.rew[...] = rng.normal(size=b)
-        buf.next_obs[...] = rng.normal(size=(b, obs_dim))
-        buf.done[...] = rng.integers(0, 2, size=b).astype(np.float64)
-        buf.size = b
+    obs = rng.normal(size=(b + 1, n, obs_dim))
+    act = rng.uniform(-1, 1, size=(b, n, act_dim))
+    rew = rng.normal(size=(b, n))
+    done = rng.integers(0, 2, size=b)
+    for k in range(b):
+        for i, buf in enumerate(buffers):
+            buf.add(obs[k, i], act[k, i], rew[k, i], obs[k + 1, i], bool(done[k]))
     return collect_joint(buffers, np.arange(b))
 
 
 def fill_buffers(agents: list[AgentBundle], k: int, seed: int = 2) -> None:
+    # k consecutive steps; every 25th is terminal and the next one starts
+    # from a fresh observation
     rng = np.random.default_rng(seed)
+    obs = [rng.normal(size=ag.obs_dim) for ag in agents]
     for step in range(k):
-        for ag in agents:
+        done = step % 25 == 24
+        for i, ag in enumerate(agents):
+            next_obs = rng.normal(size=ag.obs_dim)
             ag.buffer.add(
-                obs=rng.normal(size=ag.obs_dim),
+                obs=obs[i],
                 action=rng.uniform(-1, 1, size=ag.act_dim),
                 reward=float(rng.normal()),
-                next_obs=rng.normal(size=ag.obs_dim),
-                done=bool(step % 25 == 24),
+                next_obs=next_obs,
+                done=done,
             )
+            obs[i] = rng.normal(size=ag.obs_dim) if done else next_obs
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +622,10 @@ def _filled_agents(n: int, cfg: TrainerConfig, rows: int, seed: int) -> list[Age
     rng = np.random.default_rng(seed + 1)
     for ag in agents:
         buf = ag.buffer
-        # the same draws as rng.random(out=arr); the columns are not contiguous
-        for arr in (buf.obs, buf.act, buf.rew, buf.next_obs):
+        # the same draws as rng.random(out=arr); the columns are not
+        # contiguous. Row k's next observation is row k + 1's, the newest
+        # row's the pending row.
+        for arr in (buf.obs, buf.act, buf.rew, buf.pending):
             arr[...] = rng.random(arr.shape)
         buf.act *= 2.0
         buf.act -= 1.0
@@ -870,10 +878,61 @@ def test_run_training_matches_per_agent_rollout_oracle(monkeypatch, scenario, n,
     # 125 steps into 90 rows: the ring wraps
     assert report.meta["update_rounds"] == 6
     got, want = made[0][0].buffer.store, agents[0].buffer.store
-    for name in ("x", "next_x", "rew", "done"):
+    for name in ("x", "pending", "rew", "done"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     got_rewards = np.array([s.per_agent_rewards for s in stats])
     assert got_rewards.tobytes() == np.array(rewards).tobytes()
+
+
+@pytest.mark.parametrize("scenario, algorithm, sampler, update_every", [
+    ("coop-nav", "maddpg", "uniform", 30),
+    ("coop-nav", "maddpg", "neighbor", 30),
+    ("predator-prey", "masac", "uniform", 35),
+    ("coop-nav", "masac", "neighbor", 35),
+])
+def test_run_training_matches_two_array_replay_oracle(
+        monkeypatch, tmp_path, scenario, algorithm, sampler, update_every):
+    # reading next observations from the following row, and the newest
+    # row's from the pending row, must train bit for bit as the store with
+    # a second next-observation array in tests/oracles.py did; terminal rows
+    # included, whose next observation now is the next episode's first
+    import marlbench.trainers as tr
+    import oracles
+
+    cfg = tiny_cfg(algorithm=algorithm, sampler=sampler, episodes=24, batch_size=32,
+                   update_every=update_every, buffer_capacity=160, seed=8)
+    env_cfg = envs.make_env_config(scenario, 4, seed=9)
+
+    def train(tag):
+        unions = []
+        real_union = tr._run_union
+        monkeypatch.setattr(tr, "_run_union",
+                            lambda *args: unions.append(1) or real_union(*args))
+        out = tmp_path / tag
+        stats, report = run_training(cfg, env_cfg, checkpoint_dir=out,
+                                     trajectory_path=out / "trajectory.csv")
+        with np.load(out / "networks.npz") as data:
+            nets = {k: data[k] for k in data.files}
+        return (_strip_wall(stats_to_csv(stats)), nets,
+                (out / "trajectory.csv").read_bytes(), report.meta["update_rounds"],
+                len(unions))
+
+    shipped = train("shipped")
+    old = oracles.two_array_replay()
+    for name in ("joint_buffers", "collect_joint", "_run_union"):
+        monkeypatch.setattr(tr, name, getattr(old, name))
+    reference = train("reference")
+
+    # 600 steps into a 160-row ring: it wraps three times; the first rounds
+    # take the target-actor union, the later ones every agent's batch
+    rounds, unions = shipped[3], shipped[4]
+    assert (rounds, unions) == reference[3:]
+    assert rounds >= 15 and 0 < unions < rounds
+    assert shipped[0] == reference[0]
+    assert shipped[2] == reference[2]
+    assert shipped[1].keys() == reference[1].keys()
+    for key, arr in shipped[1].items():
+        assert arr.tobytes() == reference[1][key].tobytes(), key
 
 
 def test_run_training_masac_smoke():
