@@ -146,9 +146,11 @@ def _cell_configs(
 
 
 def _environment() -> dict:
-    """numpy, its BLAS and the BLAS threads, which decide a seeded run's bits."""
+    """The training precision, numpy, its BLAS and the BLAS threads, which
+    decide a seeded run's bits."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+    return {"dtype": np.dtype(trainers.DTYPE).name,
+            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_threads": {var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
             "cpu_count": os.cpu_count()}
 
@@ -248,6 +250,7 @@ def cmd_bench_sampler(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "sampler-bench",
         "config": {
+            "dtype": buf.obs.dtype.name,
             "buffer_len": length,
             "batch": batch,
             "neighbors": n,
@@ -308,13 +311,35 @@ def _load_cell(path: Path) -> dict:
     }
 
 
+# trainer settings that may differ between the two cells of a pair: the
+# sampler comparison is what compare is for
+_COMPARED_SETTINGS = ("sampler", "neighbors")
+
+
+def _check_pair(base: Path, opt: Path) -> None:
+    """Refuse a pair of cells that differ in anything but the sampler: in
+    training precision (a run.json written before it was recorded trained
+    in float64), in the environment config, or in the trainer config apart
+    from ``sampler`` and ``neighbors``."""
+    runs = [json.loads((cell / "run.json").read_text()) for cell in (base, opt)]
+    dtypes = [run.get("environment", {}).get("dtype", "float64") for run in runs]
+    trainer = [{k: v for k, v in run.get("trainer_config", {}).items()
+                if k not in _COMPARED_SETTINGS} for run in runs]
+    for what, pair in (("dtype", dtypes), ("env_config", [run.get("env_config") for run in runs]),
+                       ("trainer_config", trainer)):
+        if pair[0] != pair[1]:
+            raise ValueError(f"cells {base} and {opt} differ in {what}: "
+                             f"{pair[0]} against {pair[1]}")
+
+
 def _mean_std(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
 def compare_trees(baseline: Path, optimized: Path) -> dict:
-    """Pair cells by (agents, seed) and aggregate reductions per agent count."""
+    """Pair cells by (agents, seed), check that each pair differs only in its
+    sampler settings, and aggregate reductions per agent count."""
     base_cells = _scan_cells(baseline)
     opt_cells = _scan_cells(optimized)
     if set(base_cells) != set(opt_cells):
@@ -326,6 +351,8 @@ def compare_trees(baseline: Path, optimized: Path) -> dict:
         )
     if not base_cells:
         raise ValueError("no cells found; expected n<agents>_seed<seed> directories")
+    for key, cell in base_cells.items():
+        _check_pair(cell, opt_cells[key])
     by_n: dict[int, dict] = {}
     for n in sorted({n for n, _ in base_cells}):
         seeds = sorted(s for (cn, s) in base_cells if cn == n)

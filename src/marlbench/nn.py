@@ -1,16 +1,19 @@
 """Dense-network kernel: two-hidden-layer MLPs with hand-rolled backprop.
 
-Everything here is numpy in double precision. Parameters, their
-gradients and the Adam moments share one dataclass of arrays, so they can
-be copied and finite-difference-checked without framework machinery, and
-saved as plain named arrays (``trainers.save_checkpoint`` writes one
-``.npz``). The backward pass forms only what its caller reads: the
-parameter gradients, the input gradient, or a column slice of it, so a
-policy step that needs one agent's action slot of a wide critic input
-skips the rest.
+Everything here is numpy, computed in the dtype of the parameters a
+kernel is given: training runs in single precision (``trainers.DTYPE``),
+and the finite-difference checks build double-precision networks, which
+run in double precision throughout. Parameters, their gradients and the
+Adam moments share one dataclass of arrays, so they can be copied and
+finite-difference-checked without framework machinery, and saved as plain
+named arrays (``trainers.save_checkpoint`` writes one ``.npz``). The
+backward pass forms only what its caller reads: the parameter gradients,
+the input gradient, or a column slice of it, so a policy step that needs
+one agent's action slot of a wide critic input skips the rest.
 
 Each value is computed once and written into an array the kernel already
-owns: biases and ReLU masks go onto fresh matmul outputs, and
+owns: matmuls write into a ``Workspace``'s arrays when given one, else
+into fresh ones, biases and ReLU masks go onto those outputs, and
 ``adam_step`` and ``soft_update`` update parameters, moments and targets
 in place. Every kernel evaluates its formula in the order written, so
 forming a value in place gives the same bits as forming it fresh;
@@ -30,10 +33,32 @@ LOG_STD_MAX = 2.0
 # Stabilizer inside the tanh change-of-variables term of squashed log-probs.
 TANH_EPS = 1e-6
 
-# Gaussian log-density constant, log(2*pi)/2.
-HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+# Gaussian log-density constant, log(2*pi)/2; a Python float, so it keeps a
+# float32 expression in float32 where a numpy float64 scalar would promote it.
+HALF_LOG_2PI = float(0.5 * np.log(2.0 * np.pi))
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def _float32_constant(value: float) -> np.ndarray:
+    """``value``, exact in float32, as a read-only 0-d float32 array.
+
+    The hot elementwise calls take their constants so: a Python float
+    operand sends a float32 array down numpy's weak-scalar promotion, which
+    made a ReLU or a clip on a rollout's vector 0.2-0.5 µs slower than in
+    float64, while a 0-d array does not, and promotes exactly for a
+    float64 operand.
+    """
+    const = np.array(value, np.float32)
+    if const != value:
+        raise ValueError(f"{value} is not exact in float32")
+    const.flags.writeable = False
+    return const
+
+
+_ZERO = _float32_constant(0.0)
+_LOG_STD_BOUNDS = (_float32_constant(LOG_STD_MIN), _float32_constant(LOG_STD_MAX))
+_UNIT_BOUNDS = (_float32_constant(-1.0), _float32_constant(1.0))
 
 
 @dataclass
@@ -59,8 +84,16 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.w3.shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.w1.dtype
+
     def copy(self) -> "MlpParams":
         return MlpParams(*(getattr(self, f).copy() for f in _FIELDS))
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy with every array cast to ``dtype``."""
+        return MlpParams(*(getattr(self, f).astype(dtype) for f in _FIELDS))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, f) for f in _FIELDS)
@@ -75,6 +108,34 @@ class ForwardCache:
     a1: np.ndarray
     z2: np.ndarray
     a2: np.ndarray
+
+
+class Workspace:
+    """Arrays that ``mlp_forward`` and ``mlp_backward`` write their
+    activations and deltas into instead of allotting them, kept from call
+    to call. Each forward names a role; an array is made on the first use
+    of a (role, name, shape, dtype) and reused by every later pass of that
+    role and shape. So a cache made with a workspace holds its values only
+    until the next forward of the same role: two caches that must live at
+    once need two roles. Backward passes share the role "backward", as
+    their deltas die with the call.
+
+    Freed at once, a round's activations return to the top of glibc's heap,
+    and until the allocator's trim threshold has risen (a process's first
+    training cell) each round gave them back to the kernel and refaulted
+    them: about 5,200 minor faults a predator-prey maddpg N=3 round, which
+    took 15.7 ms against 8.8 ms in a second cell.
+    """
+
+    def __init__(self):
+        self._arrays: dict[tuple, np.ndarray] = {}
+
+    def take(self, role: str, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        key = (role, name, shape, dtype)
+        arr = self._arrays.get(key)
+        if arr is None:
+            arr = self._arrays[key] = np.empty(shape, dtype)
+        return arr
 
 
 @dataclass
@@ -116,15 +177,29 @@ def zeros_like_grads(params: MlpParams) -> MlpParams:
     return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
-def _checked(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    """``x`` as float64, checked to be one vector of length dim or rows of width dim."""
-    x = np.asarray(x, dtype=np.float64)
+def _checked(x: np.ndarray, dim: int, what: str, dtype: np.dtype) -> np.ndarray:
+    """``x`` as ``dtype``, the dtype of the parameters it meets, checked to be
+    one vector of length dim or rows of width dim. An input already in
+    ``dtype`` is returned as it is, not copied."""
+    x = np.asarray(x, dtype=dtype)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"{what} has shape {x.shape}, expected ({dim},) or (batch, {dim})")
     return x
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def _hidden(ws: Workspace, role: str, names: tuple, rows: tuple, params: MlpParams) -> list:
+    """``ws``'s arrays for ``role`` and each of ``names``, shaped
+    rows + (hidden,), in the parameters' dtype."""
+    shape = rows + (params.hidden_dim,)
+    return [ws.take(role, name, shape, params.dtype) for name in names]
+
+
+def mlp_forward(
+    params: MlpParams,
+    x: np.ndarray,
+    ws: Workspace | None = None,
+    role: str = "",
+) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one input vector or a batch of rows.
 
     Both ranks take the one path: each layer is ``x @ w.T`` on the input as
@@ -134,18 +209,32 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     Args:
         params: network weights.
         x: input of shape (in,) or (batch, in).
+        ws, role: when given, the hidden activations are written into
+            ``ws``'s arrays for ``role`` (``Workspace``), with the same bits.
 
     Returns:
         Tuple of (output, cache). Output has shape (out,) for vector input
-        and (batch, out) for batched input. The cache feeds ``mlp_backward``.
+        and (batch, out) for batched input, and is a new array. The cache
+        feeds ``mlp_backward``.
     """
-    x = _checked(x, params.in_dim, "input")
-    z1 = x @ params.w1.T
-    z1 += params.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2.T
-    z2 += params.b2
-    a2 = np.maximum(z2, 0.0)
+    x = _checked(x, params.in_dim, "input", params.dtype)
+    if ws is None:
+        # operators, not out=None: the keyword costs about 70 ns a call,
+        # and every rollout action takes this path
+        z1 = x @ params.w1.T
+        z1 += params.b1
+        a1 = np.maximum(z1, _ZERO)
+        z2 = a1 @ params.w2.T
+        z2 += params.b2
+        a2 = np.maximum(z2, _ZERO)
+    else:
+        z1, a1, z2, a2 = _hidden(ws, role, ("z1", "a1", "z2", "a2"), x.shape[:-1], params)
+        np.matmul(x, params.w1.T, out=z1)
+        z1 += params.b1
+        np.maximum(z1, _ZERO, out=a1)
+        np.matmul(a1, params.w2.T, out=z2)
+        z2 += params.b2
+        np.maximum(z2, _ZERO, out=a2)
     y = a2 @ params.w3.T
     y += params.b3
     return y, ForwardCache(x, z1, a1, z2, a2)
@@ -158,6 +247,7 @@ def mlp_backward(
     *,
     param_grads: bool = True,
     input_cols: slice | None = slice(None),
+    ws: Workspace | None = None,
 ) -> tuple[MlpParams | None, np.ndarray | None]:
     """Backpropagate an upstream gradient through the cached forward pass.
 
@@ -171,21 +261,27 @@ def mlp_backward(
             stands in their place.
         input_cols: columns of the input gradient to form; None skips the
             input gradient and returns None in its place.
+        ws: when given, the hidden layers' deltas, which no caller sees,
+            are written into ``ws``'s arrays for the role "backward"; the
+            gradients are new arrays.
 
     Returns:
         Tuple of (parameter gradients summed over the batch, gradient with
         respect to the input columns ``input_cols``, shaped like the
         forward input with only those columns kept).
     """
-    g = _checked(upstream, params.out_dim, "upstream").reshape(-1, params.out_dim)
+    g = _checked(upstream, params.out_dim, "upstream", params.dtype).reshape(-1, params.out_dim)
     squeeze = cache.x.ndim == 1
     # a vector forward backpropagates as a one-row batch
     x, z1, a1, z2, a2 = (a[None] if squeeze else a for a in vars(cache).values())
     if g.shape[0] != x.shape[0]:
         raise ValueError(f"upstream batch {g.shape[0]} does not match cached batch {x.shape[0]}")
-    dz2 = g @ params.w3
+    dz2 = dz1 = None
+    if ws is not None:
+        dz2, dz1 = _hidden(ws, "backward", ("dz2", "dz1"), g.shape[:1], params)
+    dz2 = np.matmul(g, params.w3, out=dz2)
     dz2 *= z2 > 0.0
-    dz1 = dz2 @ params.w2
+    dz1 = np.matmul(dz2, params.w2, out=dz1)
     dz1 *= z1 > 0.0
     grads = dx = None
     if param_grads:
@@ -212,14 +308,16 @@ def init_adam(params: MlpParams, lr: float) -> AdamState:
 
 def adam_step(state: AdamState, params: MlpParams, grads: MlpParams) -> None:
     """Apply one Adam update in place to ``params``, ``state.m`` and
-    ``state.v``, and advance ``state.t``.
+    ``state.v``, and advance ``state.t``, in the parameters' dtype.
 
-    Every gradient is checked before the first write, so a rejected step
-    leaves the parameters and the state bit-unchanged.
+    Every gradient is checked to match its parameter's shape and dtype, and
+    to be finite, before the first write, so a rejected step leaves the
+    parameters and the state bit-unchanged.
     """
     for p, g in zip(params.arrays(), grads.arrays()):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
+        if g.shape != p.shape or g.dtype != p.dtype:
+            raise ValueError(f"gradient shape {g.shape} ({g.dtype}) does not match "
+                             f"parameter shape {p.shape} ({p.dtype})")
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient passed to adam_step")
     b1, b2 = state.beta1, state.beta2
@@ -254,9 +352,10 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     pairs = list(zip(target.arrays(), online.arrays()))
     for t_arr, o_arr in pairs:
-        if t_arr.shape != o_arr.shape:
+        if t_arr.shape != o_arr.shape or t_arr.dtype != o_arr.dtype:
             raise ValueError(
-                f"target shape {t_arr.shape} does not match online shape {o_arr.shape}"
+                f"target shape {t_arr.shape} ({t_arr.dtype}) does not match online "
+                f"shape {o_arr.shape} ({o_arr.dtype})"
             )
     for t_arr, o_arr in pairs:
         part = tau * o_arr  # formed first, in case target is online
@@ -267,7 +366,7 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
 def _squash(mean: np.ndarray, log_std: np.ndarray, noise: np.ndarray) -> tuple:
     """The clamped log-std s, the pre-squash sample u = mean + exp(s) * noise
     and the action tanh(u)."""
-    s = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+    s = log_std.clip(*_LOG_STD_BOUNDS)
     u = mean + np.exp(s) * noise
     return s, u, np.tanh(u)
 
@@ -282,7 +381,9 @@ def _log_prob_terms(s: np.ndarray, noise: np.ndarray, action: np.ndarray) -> tup
 def squashed_gaussian_action(head: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """``squashed_gaussian_sample(mean, log_std, noise)[0]``, bit for bit and
     rejecting the same inputs, without the log-prob. ``head`` is a stochastic
-    actor's output, shape (2d,) or (batch, 2d): the mean, then the log-std."""
+    actor's output, shape (2d,) or (batch, 2d): the mean, then the log-std.
+    The action is computed in ``head``'s dtype."""
+    noise = np.asarray(noise, dtype=head.dtype)
     if not (np.isfinite(head).all() and np.isfinite(noise).all()):
         raise FloatingPointError("non-finite input to squashed_gaussian_action")
     d = noise.shape[-1]
@@ -303,16 +404,20 @@ def squashed_gaussian_sample(
         noise: standard-normal draw of the same shape.
 
     Returns:
-        Tuple of (action, log_prob). Actions lie in [-1, 1]; tanh rounds
-        to exactly ±1 once the pre-squash sample passes about ±19.
+        Tuple of (action, log_prob), computed in ``mean``'s dtype (float64
+        for integer input). Actions lie in [-1, 1]; tanh rounds to exactly
+        ±1 once the pre-squash sample passes about ±10 in float32 and ±19
+        in float64, where the tanh correction is log(TANH_EPS).
         log_prob is the density of the squashed action: per-dimension
         Gaussian log-density of the pre-squash sample minus the tanh
         change-of-variables correction, summed over action dimensions.
         Scalar for vector input, shape (batch,) for batched input.
     """
-    mean = np.asarray(mean, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
+    mean = np.asarray(mean)
+    dtype = np.result_type(mean, np.float32)
+    mean = mean.astype(dtype, copy=False)
+    log_std = np.asarray(log_std, dtype=dtype)
+    noise = np.asarray(noise, dtype=dtype)
     if mean.shape != log_std.shape or mean.shape != noise.shape:
         raise ValueError(
             f"mean/log_std/noise shapes differ: {mean.shape} {log_std.shape} {noise.shape}"

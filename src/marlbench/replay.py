@@ -6,8 +6,10 @@ row in the centralized critic's input layout,
 once: a row's next observation is the following row's observation. Each
 agent's ``ReplayBuffer`` is a set of column views into that store, so rows
 are still written once per agent per step, and a joint batch is a row
-gather per store array whose rows are already critic inputs. A
-``ReplayBuffer`` built on its own keeps five contiguous arrays.
+gather per store array whose rows are already critic inputs. The store
+is of the dtype its maker asks for (``trainers.DTYPE``, float32, in
+training). A ``ReplayBuffer`` built on its own keeps five contiguous
+float64 arrays.
 
 Two index strategies are provided: independent uniform draws, and windowed
 neighbor sampling that expands a handful of anchor indices into contiguous
@@ -76,12 +78,12 @@ class ReplayBuffer:
 
     Once full, each insert overwrites the oldest slot. Insertion order is
     therefore also (wrapped) memory order, which neighbor sampling relies on.
-    Built on its own, the buffer owns five C-contiguous arrays. Built by
-    ``joint_buffers`` as agent ``agent``'s part of a ``JointReplay``
-    (``store`` set), ``obs``, ``act``, ``rew`` and ``done`` are column views
-    of the store's arrays, ``pending`` is its columns of the store's pending
-    row, and ``next_obs`` is None: a step's next observation is the
-    following row's ``obs``.
+    Built on its own, the buffer owns five C-contiguous float64 arrays.
+    Built by ``joint_buffers`` as agent ``agent``'s part of a
+    ``JointReplay`` (``store`` set), ``obs``, ``act``, ``rew`` and ``done``
+    are column views of the store's arrays, ``pending`` is its columns of
+    the store's pending row, and ``next_obs`` is None: a step's next
+    observation is the following row's ``obs``.
     """
 
     store: JointReplay | None = None
@@ -116,8 +118,9 @@ class ReplayBuffer:
     def add(self, obs: np.ndarray, action: np.ndarray, reward: float,
             next_obs: np.ndarray, done: bool) -> None:
         """Write one step's record into the next slot, field by field; the
-        rollout calls it once per agent per step. A wrong observation or
-        action shape raises ``ValueError`` before anything is written.
+        rollout calls it once per agent per step, with rows already in the
+        buffer's dtype, which are written without a copy. A wrong observation
+        or action shape raises ``ValueError`` before anything is written.
 
         A joint buffer keeps ``next_obs`` in its pending columns until the
         next step's ``obs`` takes its place, so after a non-terminal step an
@@ -128,9 +131,10 @@ class ReplayBuffer:
         Bootstrapping on time limits, or non-consecutive adds, would break
         that.
         """
-        obs = np.asarray(obs, dtype=np.float64)
-        action = np.asarray(action, dtype=np.float64)
-        next_obs = np.asarray(next_obs, dtype=np.float64)
+        dtype = self.obs.dtype
+        obs = np.asarray(obs, dtype=dtype)
+        action = np.asarray(action, dtype=dtype)
+        next_obs = np.asarray(next_obs, dtype=dtype)
         if obs.shape != (self.obs_dim,) or next_obs.shape != (self.obs_dim,):
             raise ValueError(
                 f"observation shape {obs.shape}/{next_obs.shape}, expected ({self.obs_dim},)"
@@ -172,7 +176,7 @@ class JointReplay:
 
     ``x`` holds ``[obs_0..obs_{N-1} | act_0..act_{N-1}]`` per step; ``rew``
     and ``done`` hold one column per agent. Only this class knows the column
-    layout.
+    layout. Every array is of ``dtype``; training passes ``trainers.DTYPE``.
 
     Each observation is stored once. The next observation of row k is the
     observation columns of row ``(k + 1) % capacity``, except at the newest
@@ -192,7 +196,8 @@ class JointReplay:
     refault its update rounds' temporaries every round.
     """
 
-    def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int]):
+    def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int],
+                 dtype=np.float64):
         if not obs_dims or len(obs_dims) != len(act_dims):
             raise ValueError(f"need one obs and act dim per agent, got {obs_dims}/{act_dims}")
         _check_dims(capacity, *obs_dims, *act_dims)
@@ -200,15 +205,17 @@ class JointReplay:
         bounds = np.cumsum([0, *obs_dims, *act_dims]).tolist()
         cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.obs_cols, self.act_cols = cols[:n], cols[n:]
-        self.x = np.zeros((capacity, bounds[-1]))
-        self.pending = np.zeros(bounds[-1])
-        self.rew = np.zeros((capacity, n))
-        self.done = np.zeros((capacity, n))
+        self.x = np.zeros((capacity, bounds[-1]), dtype)
+        self.pending = np.zeros(bounds[-1], dtype)
+        self.rew = np.zeros((capacity, n), dtype)
+        self.done = np.zeros((capacity, n), dtype)
 
 
-def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int]) -> list[ReplayBuffer]:
-    """One ``ReplayBuffer`` per agent over a new ``JointReplay``, in agent order."""
-    store = JointReplay(capacity, obs_dims, act_dims)
+def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int],
+                  dtype=np.float64) -> list[ReplayBuffer]:
+    """One ``ReplayBuffer`` per agent over a new ``JointReplay`` of ``dtype``,
+    in agent order."""
+    store = JointReplay(capacity, obs_dims, act_dims, dtype)
     return [ReplayBuffer._columns(store, i) for i in range(len(obs_dims))]
 
 
@@ -326,7 +333,8 @@ def collect_joint(
     k addresses the same environment step everywhere. ``x``, ``rew`` and
     ``done`` are gathered at the indices and ``x_tp1`` at their successor
     rows, patched from the pending row, into ``out``'s
-    arrays when given (and ``out`` returned), else into new ones.
+    arrays when given (and ``out`` returned), else into new ones of the
+    store's dtype.
     """
     if not buffers:
         raise ValueError("collect_joint needs at least one buffer")
@@ -344,7 +352,7 @@ def collect_joint(
     if indices.size and (indices.min() < 0 or indices.max() >= length):
         raise IndexError(f"index outside filled range [0, {length})")
     if out is None:
-        out = JointBatch(*(np.empty((indices.size, a.shape[1]))
+        out = JointBatch(*(np.empty((indices.size, a.shape[1]), a.dtype)
                            for a in (store.x, store.x, store.rew, store.done)),
                          store.obs_cols, store.act_cols)
     succ, newest = _successor_rows(buffers[0], indices)

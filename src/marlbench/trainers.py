@@ -2,7 +2,9 @@
 
 Each agent owns four networks (actor, critic and their targets), two Adam
 states and a replay buffer; the buffers are column views of one joint store
-(``replay.JointReplay``) whose rows are already critic inputs. Critics see
+(``replay.JointReplay``) whose rows are already critic inputs. Training runs
+in one precision, ``DTYPE``: the store, every network and Adam moment, the
+batches and the noises. Critics see
 every agent's observation and action; actors see only their own
 observation. Two algorithms share the pipeline: a deterministic-actor
 variant with additive exploration noise, and an entropy-regularized variant
@@ -23,8 +25,10 @@ from .nn import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     TANH_EPS,
+    _UNIT_BOUNDS,
     AdamState,
     MlpParams,
+    Workspace,
     _log_prob_terms,
     _squash,
     adam_step,
@@ -61,6 +65,12 @@ SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_NEIGHBOR)
 # extra anchors drawn beyond the minimum so edge-clamped windows rarely
 # leave the batch short
 ANCHOR_SLACK = 8
+
+# The training precision. The nn kernels compute in their parameters' dtype,
+# so networks built in float64 (as the finite-difference tests build them)
+# still run in float64; the environment stays float64 and the rollout casts
+# its observations and noise once per step.
+DTYPE = np.float32
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -108,6 +118,13 @@ def validate_trainer_config(cfg: TrainerConfig) -> None:
 
 @dataclass
 class AgentBundle:
+    """One agent's networks, optimizers and replay columns.
+
+    ``ws`` is where the update round's passes write their activations
+    (``nn.Workspace``). ``make_agents`` gives every agent of a run the same
+    one, so no round allots them; with None each pass allots its own.
+    """
+
     actor: MlpParams
     critic: MlpParams
     target_actor: MlpParams
@@ -117,6 +134,7 @@ class AgentBundle:
     buffer: ReplayBuffer
     obs_dim: int
     act_dim: int
+    ws: Workspace | None = None
 
 
 @dataclass
@@ -137,18 +155,22 @@ def make_agents(
     cfg: TrainerConfig,
     rng: np.random.Generator,
 ) -> list[AgentBundle]:
-    """Build one bundle per learner; targets start as copies of the online nets."""
+    """Build one bundle per learner; targets start as copies of the online nets.
+
+    The weights are drawn in float64, so the rng stream does not depend on
+    ``DTYPE``, and then cast to it."""
     validate_trainer_config(cfg)
     n = env_cfg.n_learners
     obs_dim = envs.observation_dim(env_cfg)
     act_dim = envs.ACT_DIM
     critic_in = n * (obs_dim + act_dim)
     out_dim = actor_out_dim(cfg)
-    buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n)
+    buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n, DTYPE)
+    ws = Workspace()
     agents = []
     for buffer in buffers:
-        actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden)
-        critic = init_mlp_params(critic_in, 1, rng, cfg.hidden)
+        actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden).astype(DTYPE)
+        critic = init_mlp_params(critic_in, 1, rng, cfg.hidden).astype(DTYPE)
         agents.append(
             AgentBundle(
                 actor=actor,
@@ -160,6 +182,7 @@ def make_agents(
                 buffer=buffer,
                 obs_dim=obs_dim,
                 act_dim=act_dim,
+                ws=ws,
             )
         )
     return agents
@@ -177,14 +200,16 @@ def select_action(
     for the greedy action. The deterministic actor adds it to its action,
     a Gaussian draw of scale ``exploration_sigma``; the stochastic actor
     squashes it as a standard-normal draw without forming a log-prob. A
-    non-finite stochastic output raises ``FloatingPointError``.
+    non-finite stochastic output raises ``FloatingPointError``. The rollout
+    converts ``obs`` and ``noise`` to the actor's dtype once per step, so
+    nothing here casts them.
     """
     out, _ = mlp_forward(bundle.actor, obs)
     if cfg.algorithm == ALGO_MADDPG:
         action = np.tanh(out)
         if noise is not None:
             action += noise
-        return action.clip(-1.0, 1.0, out=action)
+        return action.clip(*_UNIT_BOUNDS, out=action)
     if noise is not None:
         # tanh already lies in [-1, 1]
         return squashed_gaussian_action(out, noise)
@@ -203,10 +228,15 @@ def target_y(
     observation gives the same target; the joint replay serves the next
     episode's first one (``replay.JointReplay``). Bootstrapping on time
     limits, or replay rows that are not consecutive steps, would break it.
+
+    The targets are computed in ``target_q_next``'s dtype, the target
+    critic's (float64 for integer input).
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    dones = np.asarray(dones, dtype=np.float64)
-    target_q_next = np.asarray(target_q_next, dtype=np.float64)
+    target_q_next = np.asarray(target_q_next)
+    dtype = np.result_type(target_q_next, np.float32)
+    target_q_next = target_q_next.astype(dtype, copy=False)
+    rewards = np.asarray(rewards, dtype=dtype)
+    dones = np.asarray(dones, dtype=dtype)
     if rewards.shape != dones.shape or rewards.shape != target_q_next.shape:
         raise ValueError(
             f"shape mismatch rewards={rewards.shape} dones={dones.shape} "
@@ -248,15 +278,17 @@ def target_q_calculation(
     entropy-regularized algorithm the next actions are sampled with
     ``noises[j]`` for agent j, and the returned value is the critic estimate
     minus alpha times the log-prob of agent_i's own next action, the only
-    log-prob formed.
+    log-prob formed. The forwards here use the workspace role "critic": no
+    cache outlives its forward, and no critic cache is alive during them.
     """
     if not 0 <= agent_i < len(agents):
         raise IndexError(f"agent {agent_i} out of range")
     x = batch.x_tp1
+    ws = agents[agent_i].ws
     logp_i = None
     for j, ag in enumerate(agents):
         if union is None:
-            out, _ = mlp_forward(ag.target_actor, batch[j].obses_tp1)
+            out, _ = mlp_forward(ag.target_actor, batch[j].obses_tp1, ws, "critic")
         else:
             out = union.outs[j][union.picks[agent_i]]
         if cfg.algorithm == ALGO_MADDPG:
@@ -269,7 +301,7 @@ def target_q_calculation(
             x[:, batch.act_cols[j]] = action
         else:
             x[:, batch.act_cols[j]] = squashed_gaussian_action(out, noises[j])
-    q, _ = mlp_forward(agents[agent_i].target_critic, x)
+    q, _ = mlp_forward(agents[agent_i].target_critic, x, ws, "critic")
     q = q[:, 0]
     if cfg.algorithm == ALGO_MASAC:
         q = q - cfg.entropy_alpha * logp_i
@@ -286,13 +318,14 @@ def critic_loss_and_grads(
 
     The gathered rows ``batch.x`` are the critic input as they are.
     """
-    critic = agents[agent_i].critic
-    q, cache = mlp_forward(critic, batch.x)
+    ag = agents[agent_i]
+    critic = ag.critic
+    q, cache = mlp_forward(critic, batch.x, ag.ws, "critic")
     diff = q[:, 0] - y
     b = diff.shape[0]
     loss = float(np.mean(diff * diff))
     upstream = (2.0 / b) * diff[:, None]
-    grads, _ = mlp_backward(critic, cache, upstream, input_cols=None)
+    grads, _ = mlp_backward(critic, cache, upstream, input_cols=None, ws=ag.ws)
     return loss, grads
 
 
@@ -314,23 +347,24 @@ def critic_update(
     return loss
 
 
-def _policy_q(critic: MlpParams, batch: JointBatch, agent_i: int, a_i: np.ndarray):
+def _policy_q(critic: MlpParams, batch: JointBatch, agent_i: int, a_i: np.ndarray,
+              ws: Workspace | None):
     """The critic's Q at the batch's rows with agent_i's actions replaced by
     ``a_i``, and the gradient of -mean(Q) with respect to ``a_i``.
 
     ``a_i`` is written into agent_i's action columns of ``batch.x`` for the
     forward and backward pass and the sampled actions are put back after,
-    so the rows are not copied.
+    so the rows are not copied. The passes use the workspace role "critic".
     """
     own = batch.act_cols[agent_i]
     x = batch.x
     sampled = x[:, own].copy()
     x[:, own] = a_i
     try:
-        q, cache = mlp_forward(critic, x)
+        q, cache = mlp_forward(critic, x, ws, "critic")
         b = x.shape[0]
-        _, da = mlp_backward(critic, cache, np.full((b, 1), -1.0 / b), param_grads=False,
-                             input_cols=own)
+        _, da = mlp_backward(critic, cache, np.full((b, 1), -1.0 / b, critic.dtype),
+                             param_grads=False, input_cols=own, ws=ws)
     finally:
         x[:, own] = sampled
     return q[:, 0], da
@@ -347,20 +381,22 @@ def actor_loss_and_grads(
 
     Other agents' actions come from the sampled batch, so the critic input
     carries gradient solely via agent_i's actor output. The stochastic actor
-    reparameterizes its action with the standard-normal ``noise``.
+    reparameterizes its action with the standard-normal ``noise``. The
+    actor's cache lives through the critic's passes, so the two use the
+    workspace roles "actor" and "critic".
     """
     ag = agents[agent_i]
     obs_i = batch[agent_i].obses_t
     b = obs_i.shape[0]
     a_dim = ag.act_dim
-    out, cache_a = mlp_forward(ag.actor, obs_i)
+    out, cache_a = mlp_forward(ag.actor, obs_i, ag.ws, "actor")
 
     if cfg.algorithm == ALGO_MADDPG:
         a_i = np.tanh(out)
-        q, da = _policy_q(ag.critic, batch, agent_i, a_i)
+        q, da = _policy_q(ag.critic, batch, agent_i, a_i, ag.ws)
         loss = float(-np.mean(q))
         dout = da * (1.0 - a_i * a_i)
-        grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
+        grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None, ws=ag.ws)
         return loss, grads
 
     mean, s_raw = out[:, :a_dim], out[:, a_dim:]
@@ -373,7 +409,7 @@ def actor_loss_and_grads(
     gauss, one_m_a2, correction = _log_prob_terms(s, noise, a_i)
     logp = np.sum(gauss, axis=1) - np.sum(correction, axis=1)
 
-    q, da_q = _policy_q(ag.critic, batch, agent_i, a_i)
+    q, da_q = _policy_q(ag.critic, batch, agent_i, a_i, ag.ws)
     alpha = cfg.entropy_alpha
     loss = float(np.mean(alpha * logp - q))
 
@@ -382,7 +418,7 @@ def actor_loss_and_grads(
     du = da * one_m_a2
     ds = (du * (u - mean) - alpha / b) * gate
     dout = np.concatenate([du, ds], axis=1)
-    grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None)
+    grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None, ws=ag.ws)
     return loss, grads
 
 
@@ -446,10 +482,11 @@ def _draw_round(
         idx = draw_batch_indices(cfg, rng, length, meta)
         idx_sets.append(idx)
         if cfg.algorithm == ALGO_MASAC:
-            target_noises.append(
-                [rng.standard_normal((idx.size, ag.act_dim)) for ag in agents]
-            )
-            policy_noises.append(rng.standard_normal((idx.size, ag_i.act_dim)))
+            target_noises.append([
+                rng.standard_normal((idx.size, ag.act_dim), ag.target_actor.dtype)
+                for ag in agents
+            ])
+            policy_noises.append(rng.standard_normal((idx.size, ag_i.act_dim), ag_i.actor.dtype))
         else:
             target_noises.append(None)
             policy_noises.append(None)
@@ -477,7 +514,8 @@ def _plan_union(
         return None
     rows = np.zeros(blocks * b, dtype=np.int64)
     rows[:distinct.size] = distinct
-    outs = [np.empty((rows.size, ag.target_actor.out_dim)) for ag in agents]
+    outs = [np.empty((rows.size, ag.target_actor.out_dim), ag.target_actor.dtype)
+            for ag in agents]
     return TargetActorUnion(rows, inverse.reshape(len(idx_sets), b), outs)
 
 
@@ -592,26 +630,32 @@ def run_training(
     scope_env = phase_scope(report, Phase.ENV_STEP)
     scope_exp = phase_scope(report, Phase.EXPERIENCE_COLLECTION)
     maddpg = cfg.algorithm == ALGO_MADDPG
-    actions = np.empty((n, envs.ACT_DIM))
+    # the environment works in float64; its observations, and the actions
+    # it receives, are converted once per step, not once per agent
+    actions = np.empty((n, envs.ACT_DIM), DTYPE)
     stats: list[EpisodeStats] = []
     inserts = 0
     report.start()
     for episode in range(cfg.episodes):
         t0 = time.perf_counter()
         state, obs = envs.reset(env_cfg, env_rng)
+        obs = obs.astype(DTYPE)
         ep_rewards = np.zeros(n)
         done = False
         while not done:
             with scope_act:
-                # one draw per step, row i being agent i's: a Generator fills
-                # it in sequence, so it holds the bits of N per-agent draws
-                noise = (rng.normal(0.0, cfg.exploration_sigma, size=actions.shape) if maddpg
-                         else rng.standard_normal(actions.shape))
+                # one draw per step, row i being agent i's: a Generator
+                # fills it in sequence, so it holds the bits of N per-agent
+                # draws. normal() has no dtype, and drawing in float64 and
+                # casting costs less than scaling a float32 draw
+                noise = (rng.normal(0.0, cfg.exploration_sigma, actions.shape).astype(DTYPE)
+                         if maddpg else rng.standard_normal(actions.shape, DTYPE))
                 for i, ag in enumerate(agents):
                     actions[i] = select_action(ag, obs[i], cfg, noise[i])
             with scope_env:
                 state, next_obs, rewards, done = envs.step(state, actions, env_cfg)
             with scope_exp:
+                next_obs = next_obs.astype(DTYPE)
                 for i, ag in enumerate(agents):
                     ag.buffer.add(obs[i], actions[i], rewards[i], next_obs[i], done)
             inserts += 1

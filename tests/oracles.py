@@ -254,6 +254,10 @@ def naive_adam_single(param: float, grad: float, lr: float, beta1: float,
 # writeback_* wrappers copy their results into the arguments, the calling
 # convention the package uses now. ``_as_batch`` and ``ForwardCache`` are
 # copied from the nn.py that promoted a vector input to a one-row batch.
+# Each kernel computes in the dtype of what it is given, as the package's do:
+# ``_as_batch`` casts to the parameters' dtype, and the sampler to the mean's.
+# The forward and backward copies take the package's workspace arguments and
+# ignore them, allotting every array.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -268,8 +272,8 @@ class ForwardCache:
     squeeze: bool
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x: np.ndarray, dim: int, what: str, dtype) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 1:
         if x.shape[0] != dim:
             raise ValueError(f"{what} has length {x.shape[0]}, expected {dim}")
@@ -281,7 +285,8 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     raise ValueError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def mlp_forward(params: MlpParams, x: np.ndarray, ws=None, role: str = ""
+                ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one input vector or a batch of rows.
 
     Args:
@@ -292,7 +297,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         Tuple of (output, cache). Output has shape (out,) for vector input
         and (batch, out) for batched input. The cache feeds ``mlp_backward``.
     """
-    xb, squeeze = _as_batch(x, params.in_dim, "input")
+    xb, squeeze = _as_batch(x, params.in_dim, "input", params.w1.dtype)
     z1 = xb @ params.w1.T + params.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.w2.T + params.b2
@@ -309,6 +314,7 @@ def mlp_backward(
     *,
     param_grads: bool = True,
     input_cols: slice | None = slice(None),
+    ws=None,
 ) -> tuple[MlpParams | None, np.ndarray | None]:
     """Backpropagate an upstream gradient through the cached forward pass.
 
@@ -328,7 +334,7 @@ def mlp_backward(
         respect to the input columns ``input_cols``, shaped like the
         forward input with only those columns kept).
     """
-    g, _ = _as_batch(upstream, params.out_dim, "upstream")
+    g, _ = _as_batch(upstream, params.out_dim, "upstream", params.w1.dtype)
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError(
             f"upstream batch {g.shape[0]} does not match cached batch {cache.x.shape[0]}"
@@ -421,9 +427,10 @@ def squashed_gaussian_sample(
         change-of-variables correction, summed over action dimensions.
         Scalar for vector input, shape (batch,) for batched input.
     """
-    mean = np.asarray(mean, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
+    dtype = np.result_type(np.asarray(mean), np.float32)
+    mean = np.asarray(mean, dtype=dtype)
+    log_std = np.asarray(log_std, dtype=dtype)
+    noise = np.asarray(noise, dtype=dtype)
     if mean.shape != log_std.shape or mean.shape != noise.shape:
         raise ValueError(
             f"mean/log_std/noise shapes differ: {mean.shape} {log_std.shape} {noise.shape}"
@@ -433,7 +440,8 @@ def squashed_gaussian_sample(
     s = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
     u = mean + np.exp(s) * noise
     action = np.tanh(u)
-    gauss = -s - 0.5 * np.log(2.0 * np.pi) - 0.5 * noise * noise
+    # a Python float, which keeps a float32 expression in float32
+    gauss = -s - float(0.5 * np.log(2.0 * np.pi)) - 0.5 * noise * noise
     correction = np.log(1.0 - action * action + TANH_EPS)
     log_prob = np.sum(gauss - correction, axis=-1)
     return action, log_prob
@@ -594,7 +602,7 @@ def per_batch_update_all_trainers():
         if noise is None:
             if rng is None:
                 raise ValueError("stochastic actor update needs an rng or explicit noise")
-            noise = rng.standard_normal(mean.shape)
+            noise = rng.standard_normal(mean.shape, mean.dtype)
         u = mean + np.exp(s) * noise
         a_i = np.tanh(u)
         one_m_a2 = 1.0 - a_i * a_i
@@ -647,7 +655,7 @@ def per_batch_update_all_trainers():
                     raise ValueError("stochastic target actions need an rng")
                 a_dim = ag.act_dim
                 mean, log_std = out[:, :a_dim], out[:, a_dim:]
-                noise = rng.standard_normal(mean.shape)
+                noise = rng.standard_normal(mean.shape, mean.dtype)
                 action, logp = squashed_gaussian_sample(mean, log_std, noise)
                 next_actions.append(action)
                 if j == agent_i:
@@ -753,11 +761,11 @@ def per_agent_rollout() -> SimpleNamespace:
         if cfg.algorithm == ALGO_MADDPG:
             action = np.tanh(out)
             if explore:
-                action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim)
+                action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim).astype(out.dtype)
             return action.clip(-1.0, 1.0, out=action)
         if explore:
             # tanh already lies in [-1, 1]
-            return squashed_gaussian_action(out, rng.standard_normal(a_dim))
+            return squashed_gaussian_action(out, rng.standard_normal(a_dim, out.dtype))
         return np.tanh(out[:a_dim])
 
     def observations(state, cfg):
@@ -956,9 +964,10 @@ def two_array_replay() -> SimpleNamespace:
             """Write one step's record into the next slot, field by field; the
             rollout calls it once per agent per step. A wrong observation or
             action shape raises ``ValueError`` before anything is written."""
-            obs = np.asarray(obs, dtype=np.float64)
-            action = np.asarray(action, dtype=np.float64)
-            next_obs = np.asarray(next_obs, dtype=np.float64)
+            dtype = self.obs.dtype
+            obs = np.asarray(obs, dtype=dtype)
+            action = np.asarray(action, dtype=dtype)
+            next_obs = np.asarray(next_obs, dtype=dtype)
             if obs.shape != (self.obs_dim,) or next_obs.shape != (self.obs_dim,):
                 raise ValueError(
                     f"observation shape {obs.shape}/{next_obs.shape}, expected ({self.obs_dim},)"
@@ -991,7 +1000,8 @@ def two_array_replay() -> SimpleNamespace:
         refault its update rounds' temporaries every round.
         """
 
-        def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int]):
+        def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int],
+                     dtype=np.float64):
             if not obs_dims or len(obs_dims) != len(act_dims):
                 raise ValueError(f"need one obs and act dim per agent, got {obs_dims}/{act_dims}")
             _check_dims(capacity, *obs_dims, *act_dims)
@@ -999,14 +1009,15 @@ def two_array_replay() -> SimpleNamespace:
             bounds = np.cumsum([0, *obs_dims, *act_dims]).tolist()
             cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
             self.obs_cols, self.act_cols = cols[:n], cols[n:]
-            self.x = np.zeros((capacity, bounds[-1]))
-            self.next_x = np.zeros((capacity, bounds[-1]))
-            self.rew = np.zeros((capacity, n))
-            self.done = np.zeros((capacity, n))
+            self.x = np.zeros((capacity, bounds[-1]), dtype)
+            self.next_x = np.zeros((capacity, bounds[-1]), dtype)
+            self.rew = np.zeros((capacity, n), dtype)
+            self.done = np.zeros((capacity, n), dtype)
 
-    def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int]) -> list[ReplayBuffer]:
+    def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int],
+                      dtype=np.float64) -> list[ReplayBuffer]:
         """One ``ReplayBuffer`` per agent over a new ``JointReplay``, in agent order."""
-        store = JointReplay(capacity, obs_dims, act_dims)
+        store = JointReplay(capacity, obs_dims, act_dims, dtype)
         return [ReplayBuffer._columns(store, i) for i in range(len(obs_dims))]
 
     def collect_joint(
@@ -1039,7 +1050,7 @@ def two_array_replay() -> SimpleNamespace:
             raise IndexError(f"index outside filled range [0, {length})")
         sources = (store.x, store.next_x, store.rew, store.done)
         if out is None:
-            out = JointBatch(*(np.empty((indices.size, a.shape[1])) for a in sources),
+            out = JointBatch(*(np.empty((indices.size, a.shape[1]), a.dtype) for a in sources),
                              store.obs_cols, store.act_cols)
         # the indices are checked above, so "clip" changes none of them; unlike
         # the default "raise", it gathers straight into out without a buffer

@@ -64,7 +64,8 @@ def test_run_json_records_the_environment(tmp_path, monkeypatch):
     assert main(train_args(out)) == EXIT_OK
     run = json.loads((out / "n2_seed0" / "run.json").read_text())
     env = run["environment"]
-    assert set(env) == {"numpy", "blas", "blas_threads", "cpu_count"}
+    assert set(env) == {"dtype", "numpy", "blas", "blas_threads", "cpu_count"}
+    assert env["dtype"] == np.dtype(trainers.DTYPE).name == "float32"
     assert env["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["blas"] == f"{blas['name']} {blas['version']}"
@@ -229,6 +230,8 @@ def test_bench_sampler_artifact_schema(tmp_path):
     data = json.loads(out.read_text())
     assert data["kind"] == "sampler-bench"
     assert data["config"]["buffer_len"] == 5000
+    # the standalone five-array buffer, not the training store
+    assert data["config"]["dtype"] == "float64"
     assert len(data["uniform"]["trials_ns"]) == 5
     assert len(data["neighbor"]["trials_ns"]) == 5
     assert data["ratio"] == pytest.approx(
@@ -322,6 +325,39 @@ def test_compare_profile_without_phase_row_is_runtime_error(tmp_path, caplog, la
     ppath.write_text(json.dumps(profile))
     assert main(["compare", str(base), str(opt)]) == EXIT_RUNTIME
     assert f"has no {label} phase row" in caplog.text
+
+
+def _edit_run(cell, edit) -> None:
+    path = cell / "run.json"
+    run = json.loads(path.read_text())
+    edit(run)
+    path.write_text(json.dumps(run))
+
+
+def test_compare_accepts_pairs_that_differ_only_in_sampler_settings(tmp_path):
+    base = _make_tree(tmp_path, "base")
+    opt = _make_tree(tmp_path, "opt", sampler="neighbor", neighbors=2)
+    assert main(["compare", str(base), str(opt)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("edit, what", [
+    # a run.json written before the precision was recorded trained in float64
+    (lambda run: run["environment"].pop("dtype"), "dtype: float32 against float64"),
+    (lambda run: run["environment"].update(dtype="float64"), "dtype"),
+    (lambda run: run["env_config"].update(max_episode_length=30), "env_config"),
+    (lambda run: run["trainer_config"].update(batch_size=16), "trainer_config"),
+    (lambda run: run["trainer_config"].update(lr=0.001), "trainer_config"),
+], ids=["dtype_missing", "dtype_float64", "env_config", "batch_size", "lr"])
+def test_compare_refuses_pairs_that_differ_beyond_the_sampler(tmp_path, caplog, edit, what):
+    # a float64 tree set against a float32 one would report the precision's
+    # saving as the sampler's
+    base = _make_tree(tmp_path, "base")
+    opt = tmp_path / "opt"
+    shutil.copytree(base, opt)
+    _edit_run(opt / "n2_seed0", edit)
+    assert main(["compare", str(base), str(opt)]) == EXIT_RUNTIME
+    assert f"cells {base / 'n2_seed0'} and {opt / 'n2_seed0'} differ in {what}" in caplog.text
+    assert main(["compare", str(opt), str(opt)]) == EXIT_OK
 
 
 def test_compare_empty_trees_is_runtime_error(tmp_path):

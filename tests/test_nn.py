@@ -11,6 +11,7 @@ from marlbench.nn import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     MlpParams,
+    Workspace,
     adam_step,
     init_adam,
     init_mlp_params,
@@ -582,3 +583,33 @@ def test_squashed_action_range():
             rng.normal(scale=5, size=3), rng.uniform(-5, 5, size=3), rng.normal(size=3)
         )
         assert np.all(a > -1.0) and np.all(a < 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_workspace_passes_match_allocating_passes_and_reuse_their_arrays(dtype):
+    # a round's passes write into one workspace per run; they must give the
+    # bits of passes that allot their arrays, and a second pass of a role
+    # must write into the first one's arrays
+    rng = np.random.default_rng(11)
+    params = init_mlp_params(7, 3, rng, hidden=16).astype(dtype)
+    ws = Workspace()
+    for k in range(2):
+        x = rng.normal(size=(32, 7)).astype(dtype)
+        up = rng.normal(size=(32, 3)).astype(dtype)
+        y, cache = mlp_forward(params, x)
+        grads, dx = mlp_backward(params, cache, up)
+        y_ws, cache_ws = mlp_forward(params, x, ws, "critic")
+        grads_ws, dx_ws = mlp_backward(params, cache_ws, up, ws=ws)
+        assert y_ws.tobytes() == y.tobytes()
+        assert dx_ws.tobytes() == dx.tobytes()
+        for f in vars(cache):
+            assert getattr(cache_ws, f).tobytes() == getattr(cache, f).tobytes(), f
+        for got, want in zip(grads_ws.arrays(), grads.arrays()):
+            assert got.tobytes() == want.tobytes()
+        if k == 0:
+            first = cache_ws
+        else:
+            assert all(getattr(cache_ws, f) is getattr(first, f) for f in ("z1", "a1", "z2", "a2"))
+    # another role gets arrays of its own
+    _, other = mlp_forward(params, x, ws, "actor")
+    assert not np.shares_memory(other.a1, first.a1)

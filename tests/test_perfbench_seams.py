@@ -23,10 +23,14 @@ from workloads import TINY  # noqa: E402
     ("coop-nav", "maddpg"),
     ("predator-prey", "masac"),
 ])
-def test_traced_tiny_run_summarizes(scenario, algorithm):
+def test_traced_tiny_run_summarizes(monkeypatch, scenario, algorithm):
     n = 3
     cfg = trainers.TrainerConfig(algorithm=algorithm, seed=0, **TINY)
     env_cfg = envs.make_env_config(scenario, n, seed=0)
+    made = []
+    real_make = trainers.make_agents
+    monkeypatch.setattr(trainers, "make_agents",
+                        lambda *args: made.append(real_make(*args)) or made[0])
     tracer = spans.Tracer()
     tracer.install(spans.wrap_targets(marlbench))
     try:
@@ -48,9 +52,9 @@ def test_traced_tiny_run_summarizes(scenario, algorithm):
     assert counts["envs.reset"] == cfg.episodes
     assert counts["replay.collect_joint"] == n * rounds
     # each collect_joint yields n per-agent batches of obs, action, reward,
-    # next obs and done
+    # next obs and done, in the store's dtype
     obs_dim = envs.observation_dim(env_cfg)
-    row_bytes = 8 * (2 * obs_dim + envs.ACT_DIM + 2)
+    row_bytes = made[0][0].buffer.store.x.itemsize * (2 * obs_dim + envs.ACT_DIM + 2)
     want_mb = rounds * n * n * cfg.batch_size * row_bytes / spans.MB
     assert metrics["replay.collect_joint.mb_gathered"] == pytest.approx(want_mb)
 

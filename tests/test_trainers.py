@@ -593,10 +593,10 @@ def test_update_target_actor_forwards_follow_union_rule(monkeypatch, algorithm, 
     forwards, idx_sets = [], []
     real_forward, real_draw = tr.mlp_forward, tr.draw_batch_indices
 
-    def forward(params, x):
+    def forward(params, x, *args):
         if id(params) in targets:
             forwards.append((targets[id(params)], x.shape))
-        return real_forward(params, x)
+        return real_forward(params, x, *args)
 
     def draw(*args, **kw):
         idx_sets.append(real_draw(*args, **kw))
