@@ -145,13 +145,14 @@ def _cell_configs(
     return env_cfg, cfg
 
 
-def _environment() -> dict:
-    """The training precision, numpy, its BLAS and the BLAS threads, which
-    decide a seeded run's bits."""
+def _environment(blas_threads_used: int | None) -> dict:
+    """The training precision, numpy, its BLAS, the BLAS thread variables
+    and the thread count the run used, which decide a seeded run's bits."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"dtype": np.dtype(trainers.DTYPE).name,
             "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_threads": {var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
+            "blas_threads_used": blas_threads_used,
             "cpu_count": os.cpu_count()}
 
 
@@ -176,7 +177,7 @@ def run_cell(spec: ExperimentSpec, n_agents: int, seed: int, cell_dir: Path) -> 
         "cell": {"n_agents": n_agents, "seed": seed},
         "trainer_config": asdict(cfg),
         "env_config": asdict(env_cfg),
-        "environment": _environment(),
+        "environment": _environment(report.meta["blas_threads"]),
     }
     # written last: compare takes a cell only once run.json exists
     (cell_dir / "run.json").write_text(json.dumps(run_meta, indent=2))

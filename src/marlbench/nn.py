@@ -1,7 +1,7 @@
 """Dense-network kernel: two-hidden-layer MLPs with hand-rolled backprop.
 
 Everything here is numpy, computed in the dtype of the parameters a
-kernel is given: training runs in single precision (``trainers.DTYPE``),
+kernel is given: training runs in single precision (``replay.DTYPE``),
 and the finite-difference checks build double-precision networks, which
 run in double precision throughout. Parameters, their gradients and the
 Adam moments share one dataclass of arrays, so they can be copied and
@@ -19,10 +19,16 @@ in place. Every kernel evaluates its formula in the order written, so
 forming a value in place gives the same bits as forming it fresh;
 ``tests/oracles.py`` keeps allocating copies that seeded runs are checked
 against.
+
+``one_blas_thread`` runs numpy's BLAS on one thread; training runs inside it.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -111,14 +117,13 @@ class ForwardCache:
 
 
 class Workspace:
-    """Arrays that ``mlp_forward`` and ``mlp_backward`` write their
-    activations and deltas into instead of allotting them, kept from call
-    to call. Each forward names a role; an array is made on the first use
-    of a (role, name, shape, dtype) and reused by every later pass of that
-    role and shape. So a cache made with a workspace holds its values only
-    until the next forward of the same role: two caches that must live at
-    once need two roles. Backward passes share the role "backward", as
-    their deltas die with the call.
+    """Arrays that ``mlp_forward`` writes its hidden activations into, and
+    ``mlp_backward`` its hidden deltas, instead of allotting them, kept from
+    call to call: one per (name, shape, dtype), made on first use. So a
+    cache made with a workspace holds its values only until the next
+    forward into the same workspace, and two caches alive at once need two
+    workspaces. A backward's deltas have names of their own, so it may use
+    its forward's workspace.
 
     Freed at once, a round's activations return to the top of glibc's heap,
     and until the allocator's trim threshold has risen (a process's first
@@ -130,8 +135,8 @@ class Workspace:
     def __init__(self):
         self._arrays: dict[tuple, np.ndarray] = {}
 
-    def take(self, role: str, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
-        key = (role, name, shape, dtype)
+    def take(self, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        key = (name, shape, dtype)
         arr = self._arrays.get(key)
         if arr is None:
             arr = self._arrays[key] = np.empty(shape, dtype)
@@ -187,18 +192,17 @@ def _checked(x: np.ndarray, dim: int, what: str, dtype: np.dtype) -> np.ndarray:
     return x
 
 
-def _hidden(ws: Workspace, role: str, names: tuple, rows: tuple, params: MlpParams) -> list:
-    """``ws``'s arrays for ``role`` and each of ``names``, shaped
-    rows + (hidden,), in the parameters' dtype."""
+def _hidden(ws: Workspace, names: tuple, rows: tuple, params: MlpParams) -> list:
+    """``ws``'s arrays for each of ``names``, shaped rows + (hidden,), in the
+    parameters' dtype."""
     shape = rows + (params.hidden_dim,)
-    return [ws.take(role, name, shape, params.dtype) for name in names]
+    return [ws.take(name, shape, params.dtype) for name in names]
 
 
 def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
     ws: Workspace | None = None,
-    role: str = "",
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one input vector or a batch of rows.
 
@@ -209,8 +213,8 @@ def mlp_forward(
     Args:
         params: network weights.
         x: input of shape (in,) or (batch, in).
-        ws, role: when given, the hidden activations are written into
-            ``ws``'s arrays for ``role`` (``Workspace``), with the same bits.
+        ws: when given, the hidden activations are written into ``ws``'s
+            arrays (``Workspace``), with the same bits.
 
     Returns:
         Tuple of (output, cache). Output has shape (out,) for vector input
@@ -228,7 +232,7 @@ def mlp_forward(
         z2 += params.b2
         a2 = np.maximum(z2, _ZERO)
     else:
-        z1, a1, z2, a2 = _hidden(ws, role, ("z1", "a1", "z2", "a2"), x.shape[:-1], params)
+        z1, a1, z2, a2 = _hidden(ws, ("z1", "a1", "z2", "a2"), x.shape[:-1], params)
         np.matmul(x, params.w1.T, out=z1)
         z1 += params.b1
         np.maximum(z1, _ZERO, out=a1)
@@ -262,8 +266,7 @@ def mlp_backward(
         input_cols: columns of the input gradient to form; None skips the
             input gradient and returns None in its place.
         ws: when given, the hidden layers' deltas, which no caller sees,
-            are written into ``ws``'s arrays for the role "backward"; the
-            gradients are new arrays.
+            are written into ``ws``'s arrays; the gradients are new arrays.
 
     Returns:
         Tuple of (parameter gradients summed over the batch, gradient with
@@ -278,7 +281,7 @@ def mlp_backward(
         raise ValueError(f"upstream batch {g.shape[0]} does not match cached batch {x.shape[0]}")
     dz2 = dz1 = None
     if ws is not None:
-        dz2, dz1 = _hidden(ws, "backward", ("dz2", "dz1"), g.shape[:1], params)
+        dz2, dz1 = _hidden(ws, ("dz2", "dz1"), g.shape[:1], params)
     dz2 = np.matmul(g, params.w3, out=dz2)
     dz2 *= z2 > 0.0
     dz1 = np.matmul(dz2, params.w2, out=dz1)
@@ -427,3 +430,50 @@ def squashed_gaussian_sample(
     s, _, action = _squash(mean, log_std, noise)
     gauss, _, correction = _log_prob_terms(s, noise, action)
     return action, np.add.reduce(gauss - correction, axis=-1)
+
+
+# The thread-count functions of the OpenBLAS builds numpy's wheels bundle:
+# scipy-openblas (numpy 2) and the older openblas64_.
+_OPENBLAS_THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_")
+
+
+@functools.cache
+def _openblas_threads():
+    """The (set, get) thread-count functions of the OpenBLAS that numpy
+    bundles, or None when none is found."""
+    root = Path(np.__file__).resolve().parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        lib = ctypes.CDLL(str(path))
+        for pattern in _OPENBLAS_THREAD_FUNCTIONS:
+            setter = getattr(lib, pattern.format("set"), None)
+            getter = getattr(lib, pattern.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run numpy's BLAS on one thread inside the block and restore its thread
+    count after. Yields the count in use, 1, or None when numpy's OpenBLAS
+    is not found, and then changes nothing.
+
+    On one thread a matmul's bits do not depend on the host's core count,
+    and no worker thread has to be woken: on a 2-vCPU host the first
+    threaded matmuls of some processes took about 8 ms a call, against
+    25-45 µs, for about a second.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield None
+        return
+    set_threads, get_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(before)

@@ -7,8 +7,8 @@ once: a row's next observation is the following row's observation. Each
 agent's ``ReplayBuffer`` is a set of column views into that store, so rows
 are still written once per agent per step, and a joint batch is a row
 gather per store array whose rows are already critic inputs. The store
-is of the dtype its maker asks for (``trainers.DTYPE``, float32, in
-training). A ``ReplayBuffer`` built on its own keeps five contiguous
+is of ``DTYPE``, the training precision, which the networks follow
+(``trainers``). A ``ReplayBuffer`` built on its own keeps five contiguous
 float64 arrays.
 
 Two index strategies are provided: independent uniform draws, and windowed
@@ -22,6 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# The training precision: every array of a ``JointReplay``, and so the rows
+# the networks train on. ``trainers`` builds every network in it too.
+DTYPE = np.float32
 
 
 class InsufficientDataError(ValueError):
@@ -176,7 +180,7 @@ class JointReplay:
 
     ``x`` holds ``[obs_0..obs_{N-1} | act_0..act_{N-1}]`` per step; ``rew``
     and ``done`` hold one column per agent. Only this class knows the column
-    layout. Every array is of ``dtype``; training passes ``trainers.DTYPE``.
+    layout. Every array is of ``DTYPE``.
 
     Each observation is stored once. The next observation of row k is the
     observation columns of row ``(k + 1) % capacity``, except at the newest
@@ -196,8 +200,7 @@ class JointReplay:
     refault its update rounds' temporaries every round.
     """
 
-    def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int],
-                 dtype=np.float64):
+    def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int]):
         if not obs_dims or len(obs_dims) != len(act_dims):
             raise ValueError(f"need one obs and act dim per agent, got {obs_dims}/{act_dims}")
         _check_dims(capacity, *obs_dims, *act_dims)
@@ -205,17 +208,15 @@ class JointReplay:
         bounds = np.cumsum([0, *obs_dims, *act_dims]).tolist()
         cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.obs_cols, self.act_cols = cols[:n], cols[n:]
-        self.x = np.zeros((capacity, bounds[-1]), dtype)
-        self.pending = np.zeros(bounds[-1], dtype)
-        self.rew = np.zeros((capacity, n), dtype)
-        self.done = np.zeros((capacity, n), dtype)
+        self.x = np.zeros((capacity, bounds[-1]), DTYPE)
+        self.pending = np.zeros(bounds[-1], DTYPE)
+        self.rew = np.zeros((capacity, n), DTYPE)
+        self.done = np.zeros((capacity, n), DTYPE)
 
 
-def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int],
-                  dtype=np.float64) -> list[ReplayBuffer]:
-    """One ``ReplayBuffer`` per agent over a new ``JointReplay`` of ``dtype``,
-    in agent order."""
-    store = JointReplay(capacity, obs_dims, act_dims, dtype)
+def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int]) -> list[ReplayBuffer]:
+    """One ``ReplayBuffer`` per agent over a new ``JointReplay``, in agent order."""
+    store = JointReplay(capacity, obs_dims, act_dims)
     return [ReplayBuffer._columns(store, i) for i in range(len(obs_dims))]
 
 

@@ -3,8 +3,8 @@
 Each agent owns four networks (actor, critic and their targets), two Adam
 states and a replay buffer; the buffers are column views of one joint store
 (``replay.JointReplay``) whose rows are already critic inputs. Training runs
-in one precision, ``DTYPE``: the store, every network and Adam moment, the
-batches and the noises. Critics see
+in one precision, the store's ``DTYPE``: the store, every network and Adam
+moment, the batches and the noises. Critics see
 every agent's observation and action; actors see only their own
 observation. Two algorithms share the pipeline: a deterministic-actor
 variant with additive exploration noise, and an entropy-regularized variant
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,14 @@ from .nn import (
     init_mlp_params,
     mlp_backward,
     mlp_forward,
+    one_blas_thread,
     soft_update,
     squashed_gaussian_action,
     squashed_gaussian_sample,
 )
 from .profiler import Phase, ProfileReport, phase_scope
 from .replay import (
+    DTYPE,
     InsufficientDataError,
     JointBatch,
     ReplayBuffer,
@@ -65,12 +67,6 @@ SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_NEIGHBOR)
 # extra anchors drawn beyond the minimum so edge-clamped windows rarely
 # leave the batch short
 ANCHOR_SLACK = 8
-
-# The training precision. The nn kernels compute in their parameters' dtype,
-# so networks built in float64 (as the finite-difference tests build them)
-# still run in float64; the environment stays float64 and the rollout casts
-# its observations and noise once per step.
-DTYPE = np.float32
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -118,12 +114,7 @@ def validate_trainer_config(cfg: TrainerConfig) -> None:
 
 @dataclass
 class AgentBundle:
-    """One agent's networks, optimizers and replay columns.
-
-    ``ws`` is where the update round's passes write their activations
-    (``nn.Workspace``). ``make_agents`` gives every agent of a run the same
-    one, so no round allots them; with None each pass allots its own.
-    """
+    """One agent's networks, optimizers and replay columns."""
 
     actor: MlpParams
     critic: MlpParams
@@ -134,7 +125,31 @@ class AgentBundle:
     buffer: ReplayBuffer
     obs_dim: int
     act_dim: int
-    ws: Workspace | None = None
+
+
+@dataclass
+class RoundWorkspace:
+    """Where an update round's network passes write their hidden
+    activations and deltas (``nn.Workspace``); ``run_training`` keeps one
+    for the run, so no round allots them. Every round function takes one,
+    and makes a fresh one when given none.
+
+    A cache in a workspace lives until the next forward into it, and at most
+    two are alive at once: the policy step's actor cache lives through the
+    critic's passes. So ``actor`` takes the policy step's actor passes, and
+    ``critic`` every other pass: the target actors' and target critic's
+    forwards, the critic step, and the policy step's critic passes, each
+    cache of which is read before the next pass into it.
+
+    Freed at once, a round's activations return to the top of glibc's heap,
+    and until the allocator's trim threshold has risen (a process's first
+    training cell) each round gave them back to the kernel and refaulted
+    them: about 5,200 minor faults a predator-prey maddpg N=3 round, which
+    took 15.7 ms against 8.8 ms in a second cell.
+    """
+
+    actor: Workspace = field(default_factory=Workspace)
+    critic: Workspace = field(default_factory=Workspace)
 
 
 @dataclass
@@ -165,8 +180,7 @@ def make_agents(
     act_dim = envs.ACT_DIM
     critic_in = n * (obs_dim + act_dim)
     out_dim = actor_out_dim(cfg)
-    buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n, DTYPE)
-    ws = Workspace()
+    buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n)
     agents = []
     for buffer in buffers:
         actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden).astype(DTYPE)
@@ -182,7 +196,6 @@ def make_agents(
                 buffer=buffer,
                 obs_dim=obs_dim,
                 act_dim=act_dim,
-                ws=ws,
             )
         )
     return agents
@@ -267,6 +280,7 @@ def target_q_calculation(
     cfg: TrainerConfig,
     noises: list[np.ndarray] | None = None,
     union: TargetActorUnion | None = None,
+    ws: RoundWorkspace | None = None,
 ) -> np.ndarray:
     """Evaluate agent_i's target critic at the next state under target policies.
 
@@ -278,17 +292,16 @@ def target_q_calculation(
     entropy-regularized algorithm the next actions are sampled with
     ``noises[j]`` for agent j, and the returned value is the critic estimate
     minus alpha times the log-prob of agent_i's own next action, the only
-    log-prob formed. The forwards here use the workspace role "critic": no
-    cache outlives its forward, and no critic cache is alive during them.
+    log-prob formed.
     """
     if not 0 <= agent_i < len(agents):
         raise IndexError(f"agent {agent_i} out of range")
+    ws = ws or RoundWorkspace()
     x = batch.x_tp1
-    ws = agents[agent_i].ws
     logp_i = None
     for j, ag in enumerate(agents):
         if union is None:
-            out, _ = mlp_forward(ag.target_actor, batch[j].obses_tp1, ws, "critic")
+            out, _ = mlp_forward(ag.target_actor, batch[j].obses_tp1, ws.critic)
         else:
             out = union.outs[j][union.picks[agent_i]]
         if cfg.algorithm == ALGO_MADDPG:
@@ -301,7 +314,7 @@ def target_q_calculation(
             x[:, batch.act_cols[j]] = action
         else:
             x[:, batch.act_cols[j]] = squashed_gaussian_action(out, noises[j])
-    q, _ = mlp_forward(agents[agent_i].target_critic, x, ws, "critic")
+    q, _ = mlp_forward(agents[agent_i].target_critic, x, ws.critic)
     q = q[:, 0]
     if cfg.algorithm == ALGO_MASAC:
         q = q - cfg.entropy_alpha * logp_i
@@ -313,19 +326,20 @@ def critic_loss_and_grads(
     batch: JointBatch,
     agent_i: int,
     y: np.ndarray,
+    ws: RoundWorkspace | None = None,
 ):
     """Mean squared TD error of agent_i's critic and its parameter gradients.
 
     The gathered rows ``batch.x`` are the critic input as they are.
     """
-    ag = agents[agent_i]
-    critic = ag.critic
-    q, cache = mlp_forward(critic, batch.x, ag.ws, "critic")
+    ws = ws or RoundWorkspace()
+    critic = agents[agent_i].critic
+    q, cache = mlp_forward(critic, batch.x, ws.critic)
     diff = q[:, 0] - y
     b = diff.shape[0]
     loss = float(np.mean(diff * diff))
     upstream = (2.0 / b) * diff[:, None]
-    grads, _ = mlp_backward(critic, cache, upstream, input_cols=None, ws=ag.ws)
+    grads, _ = mlp_backward(critic, cache, upstream, input_cols=None, ws=ws.critic)
     return loss, grads
 
 
@@ -334,9 +348,10 @@ def critic_update(
     batch: JointBatch,
     agent_i: int,
     y: np.ndarray,
+    ws: RoundWorkspace | None = None,
 ) -> float:
     """One Adam step on agent_i's critic; aborts the run on a diverged loss."""
-    loss, grads = critic_loss_and_grads(agents, batch, agent_i, y)
+    loss, grads = critic_loss_and_grads(agents, batch, agent_i, y, ws)
     if not np.isfinite(loss):
         raise NonFiniteLossError(
             f"critic loss diverged for agent {agent_i}: loss={loss}, "
@@ -348,20 +363,20 @@ def critic_update(
 
 
 def _policy_q(critic: MlpParams, batch: JointBatch, agent_i: int, a_i: np.ndarray,
-              ws: Workspace | None):
+              ws: Workspace):
     """The critic's Q at the batch's rows with agent_i's actions replaced by
     ``a_i``, and the gradient of -mean(Q) with respect to ``a_i``.
 
     ``a_i`` is written into agent_i's action columns of ``batch.x`` for the
     forward and backward pass and the sampled actions are put back after,
-    so the rows are not copied. The passes use the workspace role "critic".
+    so the rows are not copied.
     """
     own = batch.act_cols[agent_i]
     x = batch.x
     sampled = x[:, own].copy()
     x[:, own] = a_i
     try:
-        q, cache = mlp_forward(critic, x, ws, "critic")
+        q, cache = mlp_forward(critic, x, ws)
         b = x.shape[0]
         _, da = mlp_backward(critic, cache, np.full((b, 1), -1.0 / b, critic.dtype),
                              param_grads=False, input_cols=own, ws=ws)
@@ -376,27 +391,27 @@ def actor_loss_and_grads(
     agent_i: int,
     cfg: TrainerConfig,
     noise: np.ndarray | None = None,
+    ws: RoundWorkspace | None = None,
 ):
     """Policy loss for agent_i and gradients through its own action slot only.
 
     Other agents' actions come from the sampled batch, so the critic input
     carries gradient solely via agent_i's actor output. The stochastic actor
-    reparameterizes its action with the standard-normal ``noise``. The
-    actor's cache lives through the critic's passes, so the two use the
-    workspace roles "actor" and "critic".
+    reparameterizes its action with the standard-normal ``noise``.
     """
+    ws = ws or RoundWorkspace()
     ag = agents[agent_i]
     obs_i = batch[agent_i].obses_t
     b = obs_i.shape[0]
     a_dim = ag.act_dim
-    out, cache_a = mlp_forward(ag.actor, obs_i, ag.ws, "actor")
+    out, cache_a = mlp_forward(ag.actor, obs_i, ws.actor)
 
     if cfg.algorithm == ALGO_MADDPG:
         a_i = np.tanh(out)
-        q, da = _policy_q(ag.critic, batch, agent_i, a_i, ag.ws)
+        q, da = _policy_q(ag.critic, batch, agent_i, a_i, ws.critic)
         loss = float(-np.mean(q))
         dout = da * (1.0 - a_i * a_i)
-        grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None, ws=ag.ws)
+        grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None, ws=ws.actor)
         return loss, grads
 
     mean, s_raw = out[:, :a_dim], out[:, a_dim:]
@@ -409,7 +424,7 @@ def actor_loss_and_grads(
     gauss, one_m_a2, correction = _log_prob_terms(s, noise, a_i)
     logp = np.sum(gauss, axis=1) - np.sum(correction, axis=1)
 
-    q, da_q = _policy_q(ag.critic, batch, agent_i, a_i, ag.ws)
+    q, da_q = _policy_q(ag.critic, batch, agent_i, a_i, ws.critic)
     alpha = cfg.entropy_alpha
     loss = float(np.mean(alpha * logp - q))
 
@@ -418,7 +433,7 @@ def actor_loss_and_grads(
     du = da * one_m_a2
     ds = (du * (u - mean) - alpha / b) * gate
     dout = np.concatenate([du, ds], axis=1)
-    grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None, ws=ag.ws)
+    grads, _ = mlp_backward(ag.actor, cache_a, dout, input_cols=None, ws=ws.actor)
     return loss, grads
 
 
@@ -428,8 +443,9 @@ def actor_update(
     agent_i: int,
     cfg: TrainerConfig,
     noise: np.ndarray | None = None,
+    ws: RoundWorkspace | None = None,
 ) -> float:
-    loss, grads = actor_loss_and_grads(agents, batch, agent_i, cfg, noise=noise)
+    loss, grads = actor_loss_and_grads(agents, batch, agent_i, cfg, noise, ws)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"actor loss diverged for agent {agent_i}: loss={loss}")
     ag = agents[agent_i]
@@ -519,7 +535,8 @@ def _plan_union(
     return TargetActorUnion(rows, inverse.reshape(len(idx_sets), b), outs)
 
 
-def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int) -> None:
+def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int,
+               ws: RoundWorkspace) -> None:
     """Run each target actor over the next observations of ``union.rows``
     in blocks of exactly b rows.
 
@@ -530,7 +547,7 @@ def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int) -> No
     for ag, out in zip(agents, union.outs):
         x = next_observations(ag.buffer, union.rows)
         for k in range(0, x.shape[0], b):
-            out[k:k + b] = mlp_forward(ag.target_actor, x[k:k + b])[0]
+            out[k:k + b] = mlp_forward(ag.target_actor, x[k:k + b], ws.critic)[0]
 
 
 def update_all_trainers(
@@ -538,6 +555,7 @@ def update_all_trainers(
     cfg: TrainerConfig,
     report: ProfileReport,
     rng: np.random.Generator,
+    ws: RoundWorkspace | None = None,
 ) -> list[tuple[float, float]] | None:
     """Run one update round: per agent, sample, build targets, step critic
     then actor; finally soft-update every target network. Agent i's sample
@@ -555,7 +573,8 @@ def update_all_trainers(
     most floor(N / 2) batches (``_plan_union``), each target actor runs
     once over them in the first target-Q scope (``_run_union``), and every
     agent's target-Q picks its rows from those outputs. Otherwise each
-    agent runs every target actor over its own batch.
+    agent runs every target actor over its own batch. The passes write
+    their activations into ``ws`` (``RoundWorkspace``).
 
     Returns per-agent (critic_loss, actor_loss), or None when any buffer is
     still too small, which callers count rather than treat as an error.
@@ -563,6 +582,7 @@ def update_all_trainers(
     need = _min_buffer_fill(cfg)
     if any(ag.buffer.size < need for ag in agents):
         return None
+    ws = ws or RoundWorkspace()
     buffers = [ag.buffer for ag in agents]
     length = buffers[0].size
     losses = []
@@ -578,13 +598,13 @@ def update_all_trainers(
                 batch = collect_joint(buffers, idx_sets[i], batch)
             with phase_scope(report, Phase.TARGET_Q_CALC):
                 if i == 0 and union is not None:
-                    _run_union(agents, union, cfg.batch_size)
-                q_next = target_q_calculation(agents, batch, i, cfg, target_noises[i], union)
+                    _run_union(agents, union, cfg.batch_size, ws)
+                q_next = target_q_calculation(agents, batch, i, cfg, target_noises[i], union, ws)
                 y = target_y(batch[i].rewards, batch[i].dones, q_next, cfg.gamma)
             with phase_scope(report, Phase.Q_LOSS):
-                q_loss = critic_update(agents, batch, i, y)
+                q_loss = critic_update(agents, batch, i, y, ws)
             with phase_scope(report, Phase.P_LOSS):
-                p_loss = actor_update(agents, batch, i, cfg, policy_noises[i])
+                p_loss = actor_update(agents, batch, i, cfg, policy_noises[i], ws)
             losses.append((q_loss, p_loss))
         for ag in agents:
             soft_update(ag.target_actor, ag.actor, cfg.tau)
@@ -605,9 +625,26 @@ def run_training(
     the environment rng drives resets, so one (seed, config) pair fixes the
     whole run. When requested, the final networks are checkpointed and one
     extra greedy episode is rolled out to a trajectory CSV after training.
+
+    The run keeps numpy's BLAS on one thread (``nn.one_blas_thread``), so
+    its bits do not depend on the host's core count; the report's
+    ``blas_threads`` says how many it ran on (None: numpy's OpenBLAS was
+    not found, and its thread count was left as it was).
     """
     validate_trainer_config(cfg)
     envs.validate_env_config(env_cfg)
+    with one_blas_thread() as blas_threads:
+        return _train(cfg, env_cfg, blas_threads, checkpoint_dir, trajectory_path)
+
+
+def _train(
+    cfg: TrainerConfig,
+    env_cfg: envs.EnvConfig,
+    blas_threads: int | None,
+    checkpoint_dir: str | Path | None,
+    trajectory_path: str | Path | None,
+) -> tuple[list[EpisodeStats], ProfileReport]:
+    """``run_training``'s run, with BLAS on ``blas_threads`` threads."""
     rng = np.random.default_rng(cfg.seed)
     env_rng = np.random.default_rng(env_cfg.seed)
     agents = make_agents(env_cfg, cfg, rng)
@@ -624,6 +661,7 @@ def run_training(
             "update_rounds": 0,
             "skipped_updates": 0,
             "neighbor_fallbacks": 0,
+            "blas_threads": blas_threads,
         }
     )
     scope_act = phase_scope(report, Phase.ACTION_SELECTION)
@@ -633,6 +671,7 @@ def run_training(
     # the environment works in float64; its observations, and the actions
     # it receives, are converted once per step, not once per agent
     actions = np.empty((n, envs.ACT_DIM), DTYPE)
+    ws = RoundWorkspace()
     stats: list[EpisodeStats] = []
     inserts = 0
     report.start()
@@ -662,7 +701,7 @@ def run_training(
             ep_rewards += rewards
             obs = next_obs
             if inserts % cfg.update_every == 0:
-                result = update_all_trainers(agents, cfg, report, rng)
+                result = update_all_trainers(agents, cfg, report, rng, ws)
                 if result is None:
                     report.meta["skipped_updates"] += 1
                 else:

@@ -22,6 +22,7 @@ from marlbench.nn import (
     AdamState,
     MlpParams,
 )
+from marlbench.replay import DTYPE
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +286,7 @@ def _as_batch(x: np.ndarray, dim: int, what: str, dtype) -> tuple[np.ndarray, bo
     raise ValueError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray, ws=None, role: str = ""
-                ) -> tuple[np.ndarray, ForwardCache]:
+def mlp_forward(params: MlpParams, x: np.ndarray, ws=None) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one input vector or a batch of rows.
 
     Args:
@@ -1000,8 +1000,7 @@ def two_array_replay() -> SimpleNamespace:
         refault its update rounds' temporaries every round.
         """
 
-        def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int],
-                     dtype=np.float64):
+        def __init__(self, capacity: int, obs_dims: list[int], act_dims: list[int]):
             if not obs_dims or len(obs_dims) != len(act_dims):
                 raise ValueError(f"need one obs and act dim per agent, got {obs_dims}/{act_dims}")
             _check_dims(capacity, *obs_dims, *act_dims)
@@ -1009,15 +1008,14 @@ def two_array_replay() -> SimpleNamespace:
             bounds = np.cumsum([0, *obs_dims, *act_dims]).tolist()
             cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
             self.obs_cols, self.act_cols = cols[:n], cols[n:]
-            self.x = np.zeros((capacity, bounds[-1]), dtype)
-            self.next_x = np.zeros((capacity, bounds[-1]), dtype)
-            self.rew = np.zeros((capacity, n), dtype)
-            self.done = np.zeros((capacity, n), dtype)
+            self.x = np.zeros((capacity, bounds[-1]), DTYPE)
+            self.next_x = np.zeros((capacity, bounds[-1]), DTYPE)
+            self.rew = np.zeros((capacity, n), DTYPE)
+            self.done = np.zeros((capacity, n), DTYPE)
 
-    def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int],
-                      dtype=np.float64) -> list[ReplayBuffer]:
+    def joint_buffers(capacity: int, obs_dims: list[int], act_dims: list[int]) -> list[ReplayBuffer]:
         """One ``ReplayBuffer`` per agent over a new ``JointReplay``, in agent order."""
-        store = JointReplay(capacity, obs_dims, act_dims, dtype)
+        store = JointReplay(capacity, obs_dims, act_dims)
         return [ReplayBuffer._columns(store, i) for i in range(len(obs_dims))]
 
     def collect_joint(
@@ -1058,7 +1056,8 @@ def two_array_replay() -> SimpleNamespace:
             np.take(src, indices, axis=0, out=dst, mode="clip")
         return out
 
-    def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int) -> None:
+    def _run_union(agents: list[AgentBundle], union: TargetActorUnion, b: int,
+                   ws=None) -> None:
         """Run each target actor over ``union.rows`` in blocks of exactly b rows.
 
         A row's output bits do not depend on its position within a forward,

@@ -64,8 +64,11 @@ def test_run_json_records_the_environment(tmp_path, monkeypatch):
     assert main(train_args(out)) == EXIT_OK
     run = json.loads((out / "n2_seed0" / "run.json").read_text())
     env = run["environment"]
-    assert set(env) == {"dtype", "numpy", "blas", "blas_threads", "cpu_count"}
+    assert set(env) == {"dtype", "numpy", "blas", "blas_threads", "blas_threads_used",
+                        "cpu_count"}
     assert env["dtype"] == np.dtype(trainers.DTYPE).name == "float32"
+    # the run pins numpy's bundled OpenBLAS to one thread
+    assert env["blas_threads_used"] == 1
     assert env["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["blas"] == f"{blas['name']} {blas['version']}"

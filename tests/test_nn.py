@@ -587,9 +587,9 @@ def test_squashed_action_range():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_workspace_passes_match_allocating_passes_and_reuse_their_arrays(dtype):
-    # a round's passes write into one workspace per run; they must give the
-    # bits of passes that allot their arrays, and a second pass of a role
-    # must write into the first one's arrays
+    # a round's passes write into workspaces kept for the run; they must
+    # give the bits of passes that allot their arrays, and a second pass
+    # into a workspace must write into the first one's arrays
     rng = np.random.default_rng(11)
     params = init_mlp_params(7, 3, rng, hidden=16).astype(dtype)
     ws = Workspace()
@@ -598,7 +598,7 @@ def test_workspace_passes_match_allocating_passes_and_reuse_their_arrays(dtype):
         up = rng.normal(size=(32, 3)).astype(dtype)
         y, cache = mlp_forward(params, x)
         grads, dx = mlp_backward(params, cache, up)
-        y_ws, cache_ws = mlp_forward(params, x, ws, "critic")
+        y_ws, cache_ws = mlp_forward(params, x, ws)
         grads_ws, dx_ws = mlp_backward(params, cache_ws, up, ws=ws)
         assert y_ws.tobytes() == y.tobytes()
         assert dx_ws.tobytes() == dx.tobytes()
@@ -610,6 +610,6 @@ def test_workspace_passes_match_allocating_passes_and_reuse_their_arrays(dtype):
             first = cache_ws
         else:
             assert all(getattr(cache_ws, f) is getattr(first, f) for f in ("z1", "a1", "z2", "a2"))
-    # another role gets arrays of its own
-    _, other = mlp_forward(params, x, ws, "actor")
+    # another workspace has arrays of its own
+    _, other = mlp_forward(params, x, Workspace())
     assert not np.shares_memory(other.a1, first.a1)

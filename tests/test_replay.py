@@ -387,9 +387,10 @@ def test_joint_store_columns_hold_only_own_rows_after_wrap():
 
 def test_joint_replay_n12_stores_each_observation_once():
     # coop-nav N=12 at the default capacity: x (624 columns), rew and done
-    # (12 each) and one pending row; a second observation array would add
-    # 476 MiB. np.zeros touches no pages, so this costs no memory.
-    from marlbench.replay import JointReplay
+    # (12 each) and one pending row, in the training precision; a second
+    # observation array would add 238 MiB. np.zeros touches no pages, so
+    # this costs no memory.
+    from marlbench.replay import DTYPE, JointReplay
     from marlbench.trainers import TrainerConfig
 
     n = 12
@@ -399,7 +400,9 @@ def test_joint_replay_n12_stores_each_observation_once():
     width = n * (obs_dim + envs.ACT_DIM)
     assert width == 624
     arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) == capacity * (width + 2 * n) * 8 + width * 8
+    itemsize = np.dtype(DTYPE).itemsize
+    assert itemsize == 4
+    assert sum(a.nbytes for a in arrays) == capacity * (width + 2 * n) * itemsize + width * itemsize
 
 
 def _rollout_into(stores, steps: int, seed: int) -> None:

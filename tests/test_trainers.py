@@ -77,6 +77,7 @@ def make_tiny_agents(n: int, obs_dim: int, act_dim: int, cfg: TrainerConfig,
 def make_batches(n: int, b: int, obs_dim: int, act_dim: int, seed: int = 1
                  ) -> JointBatch:
     # b consecutive steps written into a b-row joint store, gathered in order
+    # and converted to float64, so float64 networks train on it in float64
     rng = np.random.default_rng(seed)
     buffers = joint_buffers(b, [obs_dim] * n, [act_dim] * n)
     obs = rng.normal(size=(b + 1, n, obs_dim))
@@ -86,7 +87,9 @@ def make_batches(n: int, b: int, obs_dim: int, act_dim: int, seed: int = 1
     for k in range(b):
         for i, buf in enumerate(buffers):
             buf.add(obs[k, i], act[k, i], rew[k, i], obs[k + 1, i], bool(done[k]))
-    return collect_joint(buffers, np.arange(b))
+    batch = collect_joint(buffers, np.arange(b))
+    return JointBatch(*(a.astype(np.float64) for a in (batch.x, batch.x_tp1, batch.rew, batch.done)),
+                      batch.obs_cols, batch.act_cols)
 
 
 def fill_buffers(agents: list[AgentBundle], k: int, seed: int = 2) -> None:
@@ -534,9 +537,9 @@ def test_update_ordering_critic_actor_then_targets(monkeypatch):
 
     real_cu, real_au, real_su = tr.critic_update, tr.actor_update, tr.soft_update
     monkeypatch.setattr(tr, "critic_update",
-                        lambda a, b, i, y: (seq.append(("critic", i)), real_cu(a, b, i, y))[1])
+                        lambda a, b, i, y, ws: (seq.append(("critic", i)), real_cu(a, b, i, y, ws))[1])
     monkeypatch.setattr(tr, "actor_update",
-                        lambda a, b, i, c, noise=None: (seq.append(("actor", i)), real_au(a, b, i, c, noise))[1])
+                        lambda a, b, i, c, noise, ws: (seq.append(("actor", i)), real_au(a, b, i, c, noise, ws))[1])
     monkeypatch.setattr(tr, "soft_update",
                         lambda t, o, tau: (seq.append(("soft", None)), real_su(t, o, tau))[1])
 
@@ -755,6 +758,28 @@ def test_run_training_one_episode_buffer_lengths():
             agents[i].buffer.add(obs[i], actions[i], rew[i], next_obs[i], done)
         obs = next_obs
     assert all(len(ag.buffer) == 25 for ag in agents)
+
+
+def test_run_training_runs_blas_on_one_thread(monkeypatch):
+    # a seeded run's bits must not depend on the host's core count, and
+    # one BLAS thread has no worker threads to wake: every round runs on
+    # one thread, and the thread count is restored when the run returns
+    import marlbench.nn as nn
+    import marlbench.trainers as tr
+
+    threads = nn._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get_threads = threads[1]
+    seen = []
+    real = tr.update_all_trainers
+    monkeypatch.setattr(tr, "update_all_trainers",
+                        lambda *args: seen.append(get_threads()) or real(*args))
+    before = get_threads()
+    _, report = run_training(tiny_cfg(episodes=2), envs.make_env_config("coop-nav", 3, seed=0))
+    assert report.meta["blas_threads"] == 1
+    assert seen and set(seen) == {1}
+    assert get_threads() == before
 
 
 def test_run_training_steps_env_through_module_name(monkeypatch):
