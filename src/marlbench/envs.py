@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,23 +36,29 @@ KIND_NAMES = {KIND_LEARNER: "learner", KIND_PREY: "prey", KIND_LANDMARK: "landma
 ACT_DIM = 2
 # learner actions are clamped to [-1, 1], then scaled by this force gain
 _ACTION_GAIN = 5.0
+# Euler step, velocity damping, speed cap, half-width of the start square,
+# entity radius; coop-nav's penalty per overlapping learner pair (counted
+# both ways), predator-prey's reward per tag and nearest-prey distance weight
+_DT = 0.1
+_DAMPING = 0.25
+_MAX_SPEED = 1.0
+_WORLD_HALFWIDTH = 1.0
+_ENTITY_RADIUS = 0.05
+_COLLISION_PENALTY = 1.0
+_TAG_REWARD = 10.0
+_CHASE_SHAPING = 0.1
 
 
 @dataclass
 class EnvConfig:
+    """A world's shape, episode length and reset seed; its physics and
+    reward weights are the module constants above."""
+
     scenario: str
     n_learners: int
     n_prey: int
     n_landmarks: int
-    dt: float = 0.1
-    damping: float = 0.25
-    max_speed: float = 1.0
     max_episode_length: int = 25
-    world_halfwidth: float = 1.0
-    entity_radius: float = 0.05
-    collision_penalty: float = 1.0
-    tag_reward: float = 10.0
-    chase_shaping: float = 0.1
     seed: int = 0
 
 
@@ -81,12 +87,6 @@ def validate_env_config(cfg: EnvConfig) -> None:
         raise ValueError("entity counts must be non-negative")
     if cfg.scenario == SCENARIO_COOP_NAV and cfg.n_prey != 0:
         raise ValueError("coop-nav has no prey")
-    if cfg.dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {cfg.dt}")
-    if not 0.0 <= cfg.damping < 1.0:
-        raise ValueError(f"damping must lie in [0, 1), got {cfg.damping}")
-    if cfg.max_speed <= 0.0 or cfg.world_halfwidth <= 0.0 or cfg.entity_radius <= 0.0:
-        raise ValueError("max_speed, world_halfwidth and entity_radius must be positive")
     if cfg.max_episode_length < 1:
         raise ValueError(f"max_episode_length must be >= 1, got {cfg.max_episode_length}")
 
@@ -98,7 +98,6 @@ class WorldState:
     radius: np.ndarray   # (E,)
     kind: np.ndarray     # (E,) int
     step_count: int
-    rng: np.random.Generator = field(repr=False, default=None)
 
     @property
     def n_entities(self) -> int:
@@ -107,8 +106,7 @@ class WorldState:
 
 def observation_dim(cfg: EnvConfig) -> int:
     """Own velocity and position, relative landmarks, relative other movables."""
-    n_movable = cfg.n_learners + cfg.n_prey
-    return 4 + 2 * cfg.n_landmarks + 2 * (n_movable - 1)
+    return 4 + 2 * cfg.n_landmarks + 2 * (_movable_count(cfg) - 1)
 
 
 def _movable_count(cfg: EnvConfig) -> int:
@@ -119,16 +117,15 @@ def reset(cfg: EnvConfig, rng: np.random.Generator) -> tuple[WorldState, np.ndar
     """Place every entity uniformly in the square, at rest, and observe."""
     validate_env_config(cfg)
     n_entities = cfg.n_learners + cfg.n_prey + cfg.n_landmarks
-    hw = cfg.world_halfwidth
-    pos = rng.uniform(-hw, hw, size=(n_entities, 2))
+    pos = rng.uniform(-_WORLD_HALFWIDTH, _WORLD_HALFWIDTH, size=(n_entities, 2))
     vel = np.zeros((n_entities, 2))
-    radius = np.full(n_entities, cfg.entity_radius)
+    radius = np.full(n_entities, _ENTITY_RADIUS)
     kind = np.concatenate([
         np.full(cfg.n_learners, KIND_LEARNER),
         np.full(cfg.n_prey, KIND_PREY),
         np.full(cfg.n_landmarks, KIND_LANDMARK),
     ]).astype(np.int64)
-    state = WorldState(pos=pos, vel=vel, radius=radius, kind=kind, step_count=0, rng=rng)
+    state = WorldState(pos=pos, vel=vel, radius=radius, kind=kind, step_count=0)
     return state, observations(state, cfg)
 
 
@@ -193,14 +190,14 @@ def _rewards(state: WorldState, cfg: EnvConfig, rel: np.ndarray) -> np.ndarray:
             total -= d
         # coop-nav has no prey, so the movables are the learners
         pairs = dist[:, :n] < radius[:n, None] + radius[:n]
-        total -= cfg.collision_penalty * int(np.count_nonzero(pairs[_off_diagonal(n, n)]))
+        total -= _COLLISION_PENALTY * int(np.count_nonzero(pairs[_off_diagonal(n, n)]))
         return np.full(n, total)
     if cfg.n_prey == 0:
         return np.zeros(n)
     prey = slice(n, n_mov)
     tags = np.count_nonzero(dist[:, prey] < radius[:n, None] + radius[prey], axis=1)
     nearest = dist[:, prey].min(axis=1)
-    return cfg.tag_reward * tags - cfg.chase_shaping * nearest
+    return _TAG_REWARD * tags - _CHASE_SHAPING * nearest
 
 
 def step(
@@ -246,14 +243,14 @@ def step(
         accel = np.concatenate([accel, flee])
 
     mov = slice(0, n_mov)
-    vel = (1.0 - cfg.damping) * state.vel[mov] + accel * cfg.dt
+    vel = (1.0 - _DAMPING) * state.vel[mov] + accel * _DT
     # np.linalg.norm(vel, axis=1), spelled out
     speeds = np.sqrt(np.add.reduce(vel * vel, axis=1))
-    over = speeds > cfg.max_speed
+    over = speeds > _MAX_SPEED
     if over.any():
-        vel[over] *= (cfg.max_speed / speeds[over])[:, None]
+        vel[over] *= (_MAX_SPEED / speeds[over])[:, None]
     state.vel[mov] = vel
-    state.pos[mov] += vel * cfg.dt
+    state.pos[mov] += vel * _DT
     state.vel[n_mov:] = 0.0
     state.step_count += 1
 

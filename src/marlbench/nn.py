@@ -39,6 +39,13 @@ LOG_STD_MAX = 2.0
 # Stabilizer inside the tanh change-of-variables term of squashed log-probs.
 TANH_EPS = 1e-6
 
+# Adam's step size and moment settings: MADDPG's published lr and Adam's
+# own defaults, the one setting the package trains at.
+ADAM_LR = 0.01
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Gaussian log-density constant, log(2*pi)/2; a Python float, so it keeps a
 # float32 expression in float32 where a numpy float64 scalar would promote it.
 HALF_LOG_2PI = float(0.5 * np.log(2.0 * np.pi))
@@ -145,15 +152,11 @@ class Workspace:
 
 @dataclass
 class AdamState:
-    """Per-network Adam accumulators. ``t`` counts completed steps."""
+    """Per-network Adam moments; ``t`` counts completed steps (settings: ``ADAM_*``)."""
 
     m: MlpParams
     v: MlpParams
     t: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_mlp_params(
@@ -303,10 +306,9 @@ def mlp_backward(
     return grads, dx
 
 
-def init_adam(params: MlpParams, lr: float) -> AdamState:
-    if not np.isfinite(lr) or lr <= 0.0:
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
-    return AdamState(m=zeros_like_grads(params), v=zeros_like_grads(params), t=0, lr=lr)
+def init_adam(params: MlpParams) -> AdamState:
+    """Zero moments shaped and typed like ``params``, before the first step."""
+    return AdamState(m=zeros_like_grads(params), v=zeros_like_grads(params), t=0)
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: MlpParams) -> None:
@@ -323,26 +325,25 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams) -> None:
                              f"parameter shape {p.shape} ({p.dtype})")
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient passed to adam_step")
-    b1, b2 = state.beta1, state.beta2
     t = state.t + 1
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()):
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in place and in this
         # order: any other order can change the last bits of seeded runs
-        tmp = (1.0 - b1) * g
-        m *= b1
+        tmp = (1.0 - ADAM_BETA1) * g
+        m *= ADAM_BETA1
         m += tmp
-        np.multiply(1.0 - b2, g, out=tmp)
+        np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
         tmp *= g
-        v *= b2
+        v *= ADAM_BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         step = m / bc1
-        step *= state.lr
+        step *= ADAM_LR
         step /= tmp
         p -= step
     state.t = t

@@ -68,6 +68,15 @@ SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_NEIGHBOR)
 # leave the batch short
 ANCHOR_SLACK = 8
 
+# MADDPG's published discount, Polyak rate and width (Lowe et al. 2017; its
+# lr is ``nn.ADAM_LR``), the deterministic actor's exploration noise scale
+# and the entropy weight of the entropy-regularized losses
+GAMMA = 0.95
+TAU = 0.01
+HIDDEN = 64
+EXPLORATION_SIGMA = 0.1
+ENTROPY_ALPHA = 0.05
+
 
 class NonFiniteLossError(FloatingPointError):
     """Raised when a loss diverges; carries enough context to debug the run."""
@@ -75,6 +84,9 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainerConfig:
+    """What a run varies: algorithm, sampler, sizes and seed; the learning
+    settings are the module constants above and ``nn.ADAM_*``."""
+
     algorithm: str = ALGO_MADDPG
     sampler: str = SAMPLER_UNIFORM
     neighbors: int = 3
@@ -82,12 +94,6 @@ class TrainerConfig:
     batch_size: int = 1024
     update_every: int = 100
     buffer_capacity: int = 100_000
-    gamma: float = 0.95
-    tau: float = 0.01
-    lr: float = 0.01
-    hidden: int = 64
-    exploration_sigma: float = 0.1
-    entropy_alpha: float = 0.05
     seed: int = 0
 
 
@@ -98,18 +104,8 @@ def validate_trainer_config(cfg: TrainerConfig) -> None:
         raise ValueError(f"unknown sampler {cfg.sampler!r}, expected one of {SAMPLERS}")
     if cfg.neighbors < 1:
         raise ValueError(f"neighbors must be >= 1, got {cfg.neighbors}")
-    if cfg.episodes < 1 or cfg.batch_size < 1 or cfg.update_every < 1:
-        raise ValueError("episodes, batch_size and update_every must be >= 1")
-    if cfg.buffer_capacity < 1:
-        raise ValueError(f"buffer_capacity must be >= 1, got {cfg.buffer_capacity}")
-    if not 0.0 < cfg.gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {cfg.gamma}")
-    if not 0.0 <= cfg.tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {cfg.tau}")
-    if cfg.lr <= 0.0 or cfg.hidden < 1:
-        raise ValueError("lr must be positive and hidden >= 1")
-    if cfg.exploration_sigma < 0.0 or cfg.entropy_alpha < 0.0:
-        raise ValueError("exploration_sigma and entropy_alpha must be >= 0")
+    if min(cfg.episodes, cfg.batch_size, cfg.update_every, cfg.buffer_capacity) < 1:
+        raise ValueError("episodes, batch_size, update_every and buffer_capacity must be >= 1")
 
 
 @dataclass
@@ -130,9 +126,11 @@ class AgentBundle:
 @dataclass
 class RoundWorkspace:
     """Where an update round's network passes write their hidden
-    activations and deltas (``nn.Workspace``); ``run_training`` keeps one
-    for the run, so no round allots them. Every round function takes one,
-    and makes a fresh one when given none.
+    activations and deltas (``nn.Workspace``), and where its samples are
+    gathered (``batch``, allotted by the first round); ``run_training``
+    keeps one for the run, so no later round allots them. A workspace
+    serves one agent list and one batch size. Every round function takes
+    one, and makes a fresh one when given none.
 
     A cache in a workspace lives until the next forward into it, and at most
     two are alive at once: the policy step's actor cache lives through the
@@ -145,11 +143,13 @@ class RoundWorkspace:
     and until the allocator's trim threshold has risen (a process's first
     training cell) each round gave them back to the kernel and refaulted
     them: about 5,200 minor faults a predator-prey maddpg N=3 round, which
-    took 15.7 ms against 8.8 ms in a second cell.
+    took 15.7 ms against 8.8 ms in a second cell. At N=12 a batch allotted
+    per round did the same: about 1,750 faults a round.
     """
 
     actor: Workspace = field(default_factory=Workspace)
     critic: Workspace = field(default_factory=Workspace)
+    batch: JointBatch | None = None
 
 
 @dataclass
@@ -183,16 +183,16 @@ def make_agents(
     buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n)
     agents = []
     for buffer in buffers:
-        actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden).astype(DTYPE)
-        critic = init_mlp_params(critic_in, 1, rng, cfg.hidden).astype(DTYPE)
+        actor = init_mlp_params(obs_dim, out_dim, rng, HIDDEN).astype(DTYPE)
+        critic = init_mlp_params(critic_in, 1, rng, HIDDEN).astype(DTYPE)
         agents.append(
             AgentBundle(
                 actor=actor,
                 critic=critic,
                 target_actor=actor.copy(),
                 target_critic=critic.copy(),
-                actor_opt=init_adam(actor, cfg.lr),
-                critic_opt=init_adam(critic, cfg.lr),
+                actor_opt=init_adam(actor),
+                critic_opt=init_adam(critic),
                 buffer=buffer,
                 obs_dim=obs_dim,
                 act_dim=act_dim,
@@ -211,7 +211,7 @@ def select_action(
 
     ``noise`` is this agent's row of the step's exploration draw, or None
     for the greedy action. The deterministic actor adds it to its action,
-    a Gaussian draw of scale ``exploration_sigma``; the stochastic actor
+    a Gaussian draw of scale ``EXPLORATION_SIGMA``; the stochastic actor
     squashes it as a standard-normal draw without forming a log-prob. A
     non-finite stochastic output raises ``FloatingPointError``. The rollout
     converts ``obs`` and ``noise`` to the actor's dtype once per step, so
@@ -317,7 +317,7 @@ def target_q_calculation(
     q, _ = mlp_forward(agents[agent_i].target_critic, x, ws.critic)
     q = q[:, 0]
     if cfg.algorithm == ALGO_MASAC:
-        q = q - cfg.entropy_alpha * logp_i
+        q = q - ENTROPY_ALPHA * logp_i
     return q
 
 
@@ -425,7 +425,7 @@ def actor_loss_and_grads(
     logp = np.sum(gauss, axis=1) - np.sum(correction, axis=1)
 
     q, da_q = _policy_q(ag.critic, batch, agent_i, a_i, ws.critic)
-    alpha = cfg.entropy_alpha
+    alpha = ENTROPY_ALPHA
     loss = float(np.mean(alpha * logp - q))
 
     da_logp = (alpha / b) * 2.0 * a_i / (one_m_a2 + TANH_EPS)
@@ -560,9 +560,9 @@ def update_all_trainers(
     """Run one update round: per agent, sample, build targets, step critic
     then actor; finally soft-update every target network. Agent i's sample
     is one ``collect_joint`` gather of the joint store at its index set,
-    made into the arrays of agent 0's batch. A round so allots its batch
-    arrays once: at N=12, fresh 5 MB arrays for every agent's batch and
-    P-loss input took about 20,000 minor page faults a round.
+    made into the arrays of ``ws.batch``. A run so allots its batch arrays
+    once: at N=12, fresh 5 MB arrays for every agent's batch and P-loss
+    input took about 20,000 minor page faults a round.
 
     The round's random draws are made up front, inside the first sampling
     scope, in the order the per-agent steps use them (``_draw_round``), so
@@ -586,7 +586,6 @@ def update_all_trainers(
     buffers = [ag.buffer for ag in agents]
     length = buffers[0].size
     losses = []
-    batch = None
     with phase_scope(report, Phase.UPDATE_ALL_TRAINERS):
         for i in range(len(agents)):
             with phase_scope(report, Phase.MINI_BATCH_SAMPLING):
@@ -595,20 +594,20 @@ def update_all_trainers(
                         agents, cfg, rng, length, report.meta
                     )
                     union = _plan_union(agents, idx_sets, cfg.batch_size)
-                batch = collect_joint(buffers, idx_sets[i], batch)
+                batch = ws.batch = collect_joint(buffers, idx_sets[i], ws.batch)
             with phase_scope(report, Phase.TARGET_Q_CALC):
                 if i == 0 and union is not None:
                     _run_union(agents, union, cfg.batch_size, ws)
                 q_next = target_q_calculation(agents, batch, i, cfg, target_noises[i], union, ws)
-                y = target_y(batch[i].rewards, batch[i].dones, q_next, cfg.gamma)
+                y = target_y(batch[i].rewards, batch[i].dones, q_next, GAMMA)
             with phase_scope(report, Phase.Q_LOSS):
                 q_loss = critic_update(agents, batch, i, y, ws)
             with phase_scope(report, Phase.P_LOSS):
                 p_loss = actor_update(agents, batch, i, cfg, policy_noises[i], ws)
             losses.append((q_loss, p_loss))
         for ag in agents:
-            soft_update(ag.target_actor, ag.actor, cfg.tau)
-            soft_update(ag.target_critic, ag.critic, cfg.tau)
+            soft_update(ag.target_actor, ag.actor, TAU)
+            soft_update(ag.target_critic, ag.critic, TAU)
     return losses
 
 
@@ -687,7 +686,7 @@ def _train(
                 # fills it in sequence, so it holds the bits of N per-agent
                 # draws. normal() has no dtype, and drawing in float64 and
                 # casting costs less than scaling a float32 draw
-                noise = (rng.normal(0.0, cfg.exploration_sigma, actions.shape).astype(DTYPE)
+                noise = (rng.normal(0.0, EXPLORATION_SIGMA, actions.shape).astype(DTYPE)
                          if maddpg else rng.standard_normal(actions.shape, DTYPE))
                 for i, ag in enumerate(agents):
                     actions[i] = select_action(ag, obs[i], cfg, noise[i])

@@ -14,8 +14,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from marlbench.envs import SCENARIO_COOP_NAV
+from marlbench.envs import (
+    _CHASE_SHAPING,
+    _COLLISION_PENALTY,
+    _TAG_REWARD,
+    SCENARIO_COOP_NAV,
+)
 from marlbench.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADAM_LR,
     LOG_STD_MAX,
     LOG_STD_MIN,
     TANH_EPS,
@@ -219,7 +228,7 @@ def naive_compute_rewards(state, cfg) -> np.ndarray:
             for j in range(n):
                 if i != j and naive_overlap(state, i, j):
                     overlaps += 1
-        total -= cfg.collision_penalty * overlaps
+        total -= _COLLISION_PENALTY * overlaps
         return np.full(n, total)
     rewards = np.zeros(n)
     prey_pos = state.pos[n:n_mov]
@@ -228,7 +237,7 @@ def naive_compute_rewards(state, cfg) -> np.ndarray:
     for i in range(n):
         tags = sum(1 for j in range(n, n_mov) if naive_overlap(state, i, j))
         nearest = float(np.min(np.linalg.norm(prey_pos - learners[i], axis=1)))
-        rewards[i] = cfg.tag_reward * tags - cfg.chase_shaping * nearest
+        rewards[i] = _TAG_REWARD * tags - _CHASE_SHAPING * nearest
     return rewards
 
 
@@ -368,28 +377,20 @@ def adam_step(
     """Apply one Adam update. Pure: returns fresh state and parameters."""
     new_m, new_v, new_p = [], [], []
     t = state.t + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient passed to adam_step")
-        m2 = state.beta1 * m + (1.0 - state.beta1) * g
-        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = state.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.eps)
+        m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        step = ADAM_LR * (m2 / bc1) / (np.sqrt(v2 / bc2) + ADAM_EPS)
         new_m.append(m2)
         new_v.append(v2)
         new_p.append(p - step)
-    next_state = AdamState(
-        m=MlpParams(*new_m),
-        v=MlpParams(*new_v),
-        t=t,
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
+    next_state = AdamState(m=MlpParams(*new_m), v=MlpParams(*new_v), t=t)
     return next_state, MlpParams(*new_p)
 
 
@@ -494,6 +495,9 @@ def per_batch_update_all_trainers():
     from marlbench.trainers import (
         ALGO_MADDPG,
         ALGO_MASAC,
+        ENTROPY_ALPHA,
+        GAMMA,
+        TAU,
         NonFiniteLossError,
         _min_buffer_fill,
         adam_step,
@@ -613,7 +617,7 @@ def per_batch_update_all_trainers():
         actions[agent_i] = a_i
         x = np.concatenate([jb.obses_t for jb in joint_batches] + actions, axis=1)
         q, cache_c = mlp_forward(ag.critic, x)
-        alpha = cfg.entropy_alpha
+        alpha = ENTROPY_ALPHA
         loss = float(np.mean(alpha * logp - q[:, 0]))
 
         upstream_c = np.full((b, 1), -1.0 / b)
@@ -665,7 +669,7 @@ def per_batch_update_all_trainers():
         q, _ = mlp_forward(agents[agent_i].target_critic, x)
         q = q[:, 0]
         if cfg.algorithm == ALGO_MASAC:
-            q = q - cfg.entropy_alpha * logp_i
+            q = q - ENTROPY_ALPHA * logp_i
         return q
 
     def actor_update(
@@ -707,15 +711,15 @@ def per_batch_update_all_trainers():
                     batches = collect_joint(buffers, idx)
                 with phase_scope(report, Phase.TARGET_Q_CALC):
                     q_next = target_q_calculation(agents, batches, i, cfg, rng)
-                    y = target_y(batches[i].rewards, batches[i].dones, q_next, cfg.gamma)
+                    y = target_y(batches[i].rewards, batches[i].dones, q_next, GAMMA)
                 with phase_scope(report, Phase.Q_LOSS):
                     q_loss = critic_update(agents, batches, i, y)
                 with phase_scope(report, Phase.P_LOSS):
                     p_loss = actor_update(agents, batches, i, cfg, rng)
                 losses.append((q_loss, p_loss))
             for ag in agents:
-                soft_update(ag.target_actor, ag.actor, cfg.tau)
-                soft_update(ag.target_critic, ag.critic, cfg.tau)
+                soft_update(ag.target_actor, ag.actor, TAU)
+                soft_update(ag.target_critic, ag.critic, TAU)
         return losses
 
     return update_all_trainers
@@ -741,6 +745,12 @@ def per_agent_rollout() -> SimpleNamespace:
     from marlbench import envs
     from marlbench.envs import (
         _ACTION_GAIN,
+        _CHASE_SHAPING,
+        _COLLISION_PENALTY,
+        _DAMPING,
+        _DT,
+        _MAX_SPEED,
+        _TAG_REWARD,
         ACT_DIM,
         _flee,
         _movable_count,
@@ -748,7 +758,12 @@ def per_agent_rollout() -> SimpleNamespace:
     )
     from marlbench.nn import squashed_gaussian_action
     from marlbench.profiler import ProfileReport
-    from marlbench.trainers import ALGO_MADDPG, make_agents, update_all_trainers
+    from marlbench.trainers import (
+        ALGO_MADDPG,
+        EXPLORATION_SIGMA,
+        make_agents,
+        update_all_trainers,
+    )
 
     logger = envs.logger
 
@@ -761,7 +776,7 @@ def per_agent_rollout() -> SimpleNamespace:
         if cfg.algorithm == ALGO_MADDPG:
             action = np.tanh(out)
             if explore:
-                action += rng.normal(0.0, cfg.exploration_sigma, size=a_dim).astype(out.dtype)
+                action += rng.normal(0.0, EXPLORATION_SIGMA, size=a_dim).astype(out.dtype)
             return action.clip(-1.0, 1.0, out=action)
         if explore:
             # tanh already lies in [-1, 1]
@@ -797,13 +812,13 @@ def per_agent_rollout() -> SimpleNamespace:
                 total -= d
             pairs = overlap[:, :n]
             np.fill_diagonal(pairs, False)
-            total -= cfg.collision_penalty * int(np.count_nonzero(pairs))
+            total -= _COLLISION_PENALTY * int(np.count_nonzero(pairs))
             return np.full(n, total)
         if cfg.n_prey == 0:
             return np.zeros(n)
         tags = np.count_nonzero(overlap[:, n:n_mov], axis=1)
         nearest = dist[:, n:n_mov].min(axis=1)
-        return cfg.tag_reward * tags - cfg.chase_shaping * nearest
+        return _TAG_REWARD * tags - _CHASE_SHAPING * nearest
 
     def step(state, actions, cfg):
         """Advance the world one tick under the learners' joint action.
@@ -841,14 +856,14 @@ def per_agent_rollout() -> SimpleNamespace:
             accel[j] = _flee(state.pos[:n], state.pos[j])
 
         mov = slice(0, n_mov)
-        vel = (1.0 - cfg.damping) * state.vel[mov] + accel * cfg.dt
+        vel = (1.0 - _DAMPING) * state.vel[mov] + accel * _DT
         # np.linalg.norm(vel, axis=1), spelled out
         speeds = np.sqrt(np.add.reduce(vel * vel, axis=1))
-        over = speeds > cfg.max_speed
+        over = speeds > _MAX_SPEED
         if over.any():
-            vel[over] *= (cfg.max_speed / speeds[over])[:, None]
+            vel[over] *= (_MAX_SPEED / speeds[over])[:, None]
         state.vel[mov] = vel
-        state.pos[mov] += vel * cfg.dt
+        state.pos[mov] += vel * _DT
         state.vel[n_mov:] = 0.0
         state.step_count += 1
 

@@ -133,7 +133,7 @@ def _grad_instance(seed: int, algorithm: str):
     """Build one small two-agent problem, skipping draws too close to a
     ReLU kink or a log-std clamp boundary for finite differences to resolve."""
     cfg = TrainerConfig(algorithm=algorithm, sampler="uniform", episodes=1,
-                        seed=0, batch_size=4, hidden=8)
+                        seed=0, batch_size=4)
     agents = make_tiny_agents(2, 2, 2, cfg, seed=seed)
     batches = make_batches(2, 4, 2, 2, seed=seed + 10_000)
     case_rng = np.random.default_rng(seed + 20_000)

@@ -83,6 +83,18 @@ def test_run_json_records_the_environment(tmp_path, monkeypatch):
     assert run["env_config"] == asdict(envs.make_env_config("coop-nav", 2, seed=0))
 
 
+def test_run_json_configs_hold_only_the_settable_fields(tmp_path):
+    # the learning and physics settings are module constants, not run.json keys
+    out = tmp_path / "sweep"
+    assert main(train_args(out)) == EXIT_OK
+    run = json.loads((out / "n2_seed0" / "run.json").read_text())
+    assert set(run["trainer_config"]) == {
+        "algorithm", "sampler", "neighbors", "episodes", "batch_size", "update_every",
+        "buffer_capacity", "seed"}
+    assert set(run["env_config"]) == {
+        "scenario", "n_learners", "n_prey", "n_landmarks", "max_episode_length", "seed"}
+
+
 def test_train_sweep_cell_grid(tmp_path):
     out = tmp_path / "sweep"
     assert main(train_args(out, agents="2,3", repetitions="2")) == EXIT_OK
@@ -349,8 +361,10 @@ def test_compare_accepts_pairs_that_differ_only_in_sampler_settings(tmp_path):
     (lambda run: run["environment"].update(dtype="float64"), "dtype"),
     (lambda run: run["env_config"].update(max_episode_length=30), "env_config"),
     (lambda run: run["trainer_config"].update(batch_size=16), "trainer_config"),
-    (lambda run: run["trainer_config"].update(lr=0.001), "trainer_config"),
-], ids=["dtype_missing", "dtype_float64", "env_config", "batch_size", "lr"])
+    (lambda run: run["trainer_config"].update(update_every=50), "trainer_config"),
+    # a run.json written while the learning rate was a config field
+    (lambda run: run["trainer_config"].update(lr=0.01), "trainer_config"),
+], ids=["dtype_missing", "dtype_float64", "env_config", "batch_size", "update_every", "lr"])
 def test_compare_refuses_pairs_that_differ_beyond_the_sampler(tmp_path, caplog, edit, what):
     # a float64 tree set against a float32 one would report the precision's
     # saving as the sampler's

@@ -297,7 +297,7 @@ def test_adam_zero_grad_is_identity():
     rng = np.random.default_rng(5)
     p = init_mlp_params(3, 2, rng, hidden=4)
     before = clone_params(p)
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     g = zeros_like_grads(p)
     for _ in range(5):
         adam_step(state, p, g)
@@ -308,7 +308,7 @@ def test_adam_zero_grad_is_identity():
 
 def test_adam_scalar_first_step_hand_value():
     p = zero_params(1, 1, 1)
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     g = zeros_like_grads(p)
     g.w1[0, 0] = 1.0
     adam_step(state, p, g)
@@ -321,7 +321,7 @@ def test_adam_scalar_first_step_hand_value():
 
 def test_adam_monotone_under_constant_grad():
     p = zero_params(1, 1, 1)
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     g = zeros_like_grads(p)
     g.w1[0, 0] = 1.0
     seen = [0.0]
@@ -335,7 +335,7 @@ def test_adam_matches_scalar_reference_trajectory():
     rng = np.random.default_rng(17)
     p = zero_params(1, 1, 1)
     p.w1[0, 0] = 0.3
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     ref_p, ref_m, ref_v, ref_t = 0.3, 0.0, 0.0, 0
     for _ in range(20):
         gval = float(rng.normal())
@@ -351,7 +351,7 @@ def test_adam_matches_scalar_reference_trajectory():
 
 def test_adam_rejects_non_finite_grads():
     p = zero_params(2, 3, 1)
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     g = zeros_like_grads(p)
     g.w2[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
@@ -367,7 +367,7 @@ def test_adam_rejected_step_writes_nothing(bad):
     # it would already have written them when w2's gradient fails
     rng = np.random.default_rng(29)
     p = init_mlp_params(3, 2, rng, hidden=4)
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     g = zeros_like_grads(p)
     for f in PARAM_FIELDS:
         getattr(g, f)[...] = rng.normal(size=getattr(g, f).shape)
@@ -388,7 +388,7 @@ def test_adam_rejected_step_writes_nothing(bad):
 def test_adam_second_moment_nonnegative():
     rng = np.random.default_rng(23)
     p = init_mlp_params(2, 1, rng, hidden=3)
-    state = init_adam(p, lr=0.01)
+    state = init_adam(p)
     for _ in range(4):
         g = zeros_like_grads(p)
         g.w1[:] = rng.normal(size=g.w1.shape)

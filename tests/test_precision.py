@@ -94,7 +94,7 @@ def test_training_leaves_no_float64_array(monkeypatch, scenario, algorithm):
     real_make = tr.make_agents
     monkeypatch.setattr(tr, "make_agents", lambda *args: made.append(real_make(*args)) or made[0])
     cfg = tr.TrainerConfig(algorithm=algorithm, episodes=6, batch_size=32, update_every=32,
-                           buffer_capacity=200, hidden=16, seed=3)
+                           buffer_capacity=200, seed=3)
     env_cfg = envs.make_env_config(scenario, 3, seed=4)
     _, report = tr.run_training(cfg, env_cfg)
 
@@ -125,7 +125,7 @@ def test_each_kernel_returns_its_parameters_dtype(dtype):
     assert dx.dtype == dtype
     assert all(g.dtype == dtype for g in grads.arrays())
 
-    state = init_adam(params, 0.01)
+    state = init_adam(params)
     adam_step(state, params, grads)
     target = params.copy()
     soft_update(target, params, 0.5)

@@ -5,6 +5,10 @@ import pytest
 
 from marlbench import envs
 from marlbench.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADAM_LR,
     ForwardCache,
     MlpParams,
     init_adam,
@@ -15,8 +19,14 @@ from marlbench.nn import (
 from marlbench.profiler import Phase, ProfileReport
 from marlbench.replay import JointBatch, collect_joint, joint_buffers
 from marlbench.trainers import (
+    ENTROPY_ALPHA,
+    EXPLORATION_SIGMA,
+    GAMMA,
+    HIDDEN,
+    TAU,
     AgentBundle,
     NonFiniteLossError,
+    RoundWorkspace,
     TrainerConfig,
     actor_loss_and_grads,
     actor_update,
@@ -45,13 +55,17 @@ from oracles import (
 
 def tiny_cfg(**kw) -> TrainerConfig:
     base = dict(algorithm="maddpg", sampler="uniform", episodes=2, seed=0,
-                batch_size=4, update_every=10, buffer_capacity=64, hidden=8)
+                batch_size=4, update_every=10, buffer_capacity=64)
     base.update(kw)
     return TrainerConfig(**base)
 
 
 def zeroed(params: MlpParams) -> MlpParams:
     return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
+
+
+# the width of make_tiny_agents' networks; make_agents builds HIDDEN-wide ones
+TINY_HIDDEN = 8
 
 
 def make_tiny_agents(n: int, obs_dim: int, act_dim: int, cfg: TrainerConfig,
@@ -62,12 +76,12 @@ def make_tiny_agents(n: int, obs_dim: int, act_dim: int, cfg: TrainerConfig,
     buffers = joint_buffers(cfg.buffer_capacity, [obs_dim] * n, [act_dim] * n)
     agents = []
     for buffer in buffers:
-        actor = init_mlp_params(obs_dim, out_dim, rng, cfg.hidden)
-        critic = init_mlp_params(critic_in, 1, rng, cfg.hidden)
+        actor = init_mlp_params(obs_dim, out_dim, rng, TINY_HIDDEN)
+        critic = init_mlp_params(critic_in, 1, rng, TINY_HIDDEN)
         agents.append(AgentBundle(
             actor=actor, critic=critic,
             target_actor=actor.copy(), target_critic=critic.copy(),
-            actor_opt=init_adam(actor, cfg.lr), critic_opt=init_adam(critic, cfg.lr),
+            actor_opt=init_adam(actor), critic_opt=init_adam(critic),
             buffer=buffer,
             obs_dim=obs_dim, act_dim=act_dim,
         ))
@@ -116,18 +130,20 @@ def fill_buffers(agents: list[AgentBundle], k: int, seed: int = 2) -> None:
 # ---------------------------------------------------------------------------
 
 def test_config_defaults_match_training_setup():
+    # the README's numbers: MADDPG's published lr, gamma, tau, batch and width
     cfg = TrainerConfig(algorithm="maddpg", sampler="uniform", episodes=10, seed=0)
-    assert (cfg.gamma, cfg.tau, cfg.lr) == (0.95, 0.01, 0.01)
+    assert (GAMMA, TAU, ADAM_LR) == (0.95, 0.01, 0.01)
     assert (cfg.batch_size, cfg.update_every) == (1024, 100)
-    assert (cfg.entropy_alpha, cfg.exploration_sigma) == (0.05, 0.1)
+    assert (ENTROPY_ALPHA, EXPLORATION_SIGMA) == (0.05, 0.1)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert cfg.neighbors == 3
-    assert cfg.hidden == 64
+    assert HIDDEN == 64
 
 
 def test_config_validation_bounds():
-    for kw in (dict(gamma=1.0), dict(gamma=0.0), dict(tau=1.5), dict(tau=-0.1),
-               dict(batch_size=0), dict(algorithm="dqn"), dict(sampler="x"),
-               dict(neighbors=0), dict(episodes=0), dict(lr=0.0)):
+    for kw in (dict(batch_size=0), dict(algorithm="dqn"), dict(sampler="x"),
+               dict(neighbors=0), dict(episodes=0), dict(update_every=0),
+               dict(buffer_capacity=0)):
         with pytest.raises(ValueError):
             validate_trainer_config(tiny_cfg(**kw))
 
@@ -158,11 +174,11 @@ def test_select_action_deterministic_without_noise():
 
 
 def test_select_action_explore_stays_clamped():
-    cfg = tiny_cfg(exploration_sigma=0.1)
+    cfg = tiny_cfg()
     agents = make_tiny_agents(1, 3, 2, cfg)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        noise = rng.normal(0.0, cfg.exploration_sigma, size=2)
+        noise = rng.normal(0.0, EXPLORATION_SIGMA, size=2)
         a = select_action(agents[0], rng.normal(size=3), cfg, noise)
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
@@ -260,11 +276,11 @@ def test_target_q_matches_unbatched_oracle():
     agents = make_tiny_agents(n, obs_dim, act_dim, cfg, seed=7)
     batches = make_batches(n, b, obs_dim, act_dim, seed=8)
     q = target_q_calculation(agents, batches, 1, cfg)
-    got = target_y(batches[1].rewards, batches[1].dones, q, cfg.gamma)
+    got = target_y(batches[1].rewards, batches[1].dones, q, GAMMA)
     rows = [[batches[j].obses_tp1[k] for j in range(n)] for k in range(b)]
     want = naive_target_y_maddpg(
         rows, batches[1].rewards, batches[1].dones,
-        [ag.target_actor for ag in agents], agents[1].target_critic, cfg.gamma,
+        [ag.target_actor for ag in agents], agents[1].target_critic, GAMMA,
     )
     denom = np.maximum(np.abs(want), 1e-12)
     assert np.max(np.abs(got - want) / denom) < 1e-12
@@ -288,7 +304,7 @@ def test_target_q_masac_matches_hand_built_sample():
         logps.append(lp)
     x = np.concatenate([bt.obses_tp1 for bt in batch] + actions, axis=1)
     want, _ = mlp_forward(agents[1].target_critic, x)
-    assert np.array_equal(q, want[:, 0] - cfg.entropy_alpha * logps[1])
+    assert np.array_equal(q, want[:, 0] - ENTROPY_ALPHA * logps[1])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -418,8 +434,11 @@ def test_actor_gradient_matches_finite_differences_masac():
         assert_grad_close(getattr(grads, f), fd[f], rtol=2e-6, atol=1e-9)
 
 
-def test_actor_masac_alpha_zero_reduces_to_q_objective():
-    cfg = tiny_cfg(algorithm="masac", entropy_alpha=0.0)
+def test_actor_masac_alpha_zero_reduces_to_q_objective(monkeypatch):
+    import marlbench.trainers as tr
+
+    monkeypatch.setattr(tr, "ENTROPY_ALPHA", 0.0)
+    cfg = tiny_cfg(algorithm="masac")
     agents = make_tiny_agents(2, 3, 2, cfg, seed=31)
     batches = make_batches(2, 5, 3, 2, seed=32)
     noise = np.random.default_rng(33).standard_normal((5, 2))
@@ -480,8 +499,11 @@ def test_update_skipped_until_buffers_filled():
             assert np.array_equal(getattr(ag.critic, f), getattr(prev, f))
 
 
-def test_update_tau_zero_leaves_targets_bit_identical():
-    cfg = tiny_cfg(batch_size=8, tau=0.0)
+def test_update_tau_zero_leaves_targets_bit_identical(monkeypatch):
+    import marlbench.trainers as tr
+
+    monkeypatch.setattr(tr, "TAU", 0.0)
+    cfg = tiny_cfg(batch_size=8)
     agents = make_tiny_agents(2, 3, 2, cfg)
     fill_buffers(agents, 16)
     report = ProfileReport(meta={})
@@ -653,7 +675,7 @@ def test_update_round_matches_per_batch_oracle(algorithm, sampler, b, rows):
     import oracles
 
     cfg = tiny_cfg(algorithm=algorithm, sampler=sampler, batch_size=b,
-                   buffer_capacity=rows, hidden=64)
+                   buffer_capacity=rows)
     shipped = _filled_agents(4, cfg, rows, seed=b + rows)
     reference = copy.deepcopy(shipped)
     round_ref = oracles.per_batch_update_all_trainers()
@@ -670,6 +692,32 @@ def test_update_round_matches_per_batch_oracle(algorithm, sampler, b, rows):
             for f in PARAM_FIELDS:
                 a, w = getattr(getattr(ag_s, role), f), getattr(getattr(ag_r, role), f)
                 assert a.tobytes() == w.tobytes(), (role, f)
+
+
+@pytest.mark.parametrize("algorithm", ["maddpg", "masac"])
+def test_update_rounds_gather_into_the_workspace_batch(algorithm):
+    # a run's workspace keeps the batch its first round allots, so later
+    # rounds gather into the same arrays, with the bits of fresh ones
+    import copy
+
+    cfg = tiny_cfg(algorithm=algorithm, batch_size=8)
+    kept = make_tiny_agents(3, 3, 2, cfg)
+    fill_buffers(kept, 40)
+    fresh = copy.deepcopy(kept)
+    rng_k, rng_f = np.random.default_rng(3), np.random.default_rng(3)
+    ws = RoundWorkspace()
+    xs = []
+    for _ in range(3):
+        got = update_all_trainers(kept, cfg, ProfileReport(meta={}), rng_k, ws)
+        want = update_all_trainers(fresh, cfg, ProfileReport(meta={}), rng_f)
+        assert got == want
+        xs.append(ws.batch.x)
+    assert xs[0] is xs[1] is xs[2]
+    for ag_k, ag_f in zip(kept, fresh):
+        for role in ("actor", "critic", "target_actor", "target_critic"):
+            for f in PARAM_FIELDS:
+                k, w = getattr(getattr(ag_k, role), f), getattr(getattr(ag_f, role), f)
+                assert k.tobytes() == w.tobytes(), (role, f)
 
 
 def test_update_advances_adam_counters_together():
@@ -751,7 +799,7 @@ def test_run_training_one_episode_buffer_lengths():
     done = False
     rng = np.random.default_rng(0)
     while not done:
-        noise = rng.normal(0.0, cfg2.exploration_sigma, size=(3, 2))
+        noise = rng.normal(0.0, EXPLORATION_SIGMA, size=(3, 2))
         actions = [select_action(agents[i], obs[i], cfg2, noise[i]) for i in range(3)]
         state, next_obs, rew, done = envs.step(state, actions, env_cfg)
         for i in range(3):
